@@ -2,7 +2,7 @@
 with reference oracles, branching-recurrence analysis tooling and a
 worst-case instance family."""
 
-from .graph import GraphError, MarkedGraph, VertexView, plain_graph
+from .graph import GraphError, MarkedGraph, plain_graph
 from .solution import INFEASIBLE, Solution
 from .solver import SearchStats, SolverError, dispatch_case, solve
 
@@ -13,7 +13,6 @@ __all__ = [
     "SearchStats",
     "Solution",
     "SolverError",
-    "VertexView",
     "dispatch_case",
     "plain_graph",
     "solve",

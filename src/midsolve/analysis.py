@@ -72,21 +72,6 @@ def measure(g, w: WeightVector = REFERENCE_WEIGHTS) -> float:
     return sum(w.for_degree(g.f_degree(v)) for v in g.free)
 
 
-@dataclass(frozen=True)
-class DegreeHistogram:
-    n0: int
-    n1: int
-    n2: int
-    n3plus: int
-
-
-def degree_histogram(g) -> DegreeHistogram:
-    counts = [0, 0, 0, 0]
-    for v in g.free:
-        counts[min(g.f_degree(v), 3)] += 1
-    return DegreeHistogram(*counts)
-
-
 # ---------------------------------------------------------------------------
 # Branching factors
 

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, analyze, lbtrace, bench.  Exit codes: 0 found,
-2 usage or parse error, 3 infeasible.  With ``--format records`` output is
-line-delimited ``mids.v1 key=value ...`` records; wall-clock fields are the
-only nondeterministic columns and always carry the ``wall_ms`` key.
+2 usage or parse error, or an instance outside the solver's input contract
+(a marked vertex with more than 4 free neighbors), 3 infeasible.  With
+``--format records`` output is line-delimited ``mids.v1 key=value ...``
+records; wall-clock fields are the only nondeterministic columns and always
+carry the ``wall_ms`` key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .instances import (InstanceFormatError, gen_random, mark_random,
 from .lb_trace import leaf_growth, trace
 from .oracle import (OracleError, check_ids, exhaustive_mids,
                      mis_enumeration_mids)
-from .solver import solve
+from .solver import SolverError, solve
 
 SCHEMA = "mids.v1"
 
@@ -53,7 +55,11 @@ def cmd_solve(args) -> int:
     g = _load(args.instance)
     weights = args.weights if args.weights else REFERENCE_WEIGHTS
     start = time.perf_counter()
-    sol, stats = solve(g, assert_mode=args.assert_mode, weights=weights)
+    try:
+        sol, stats = solve(g, assert_mode=args.assert_mode, weights=weights)
+    except SolverError as exc:
+        print(f"error: {args.instance}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     wall_ms = (time.perf_counter() - start) * 1e3
     size = sol.size if sol.feasible else "infeasible"
     if args.format == "records":

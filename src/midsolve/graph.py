@@ -8,21 +8,11 @@ information for independent domination and are dropped at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
     """Malformed graph construction or query."""
-
-
-@dataclass(frozen=True)
-class VertexView:
-    """Snapshot of a single vertex: identity, free-degree and status."""
-
-    id: int
-    f_degree: int
-    status: str  # "free" | "marked"
 
 
 class MarkedGraph:
@@ -88,10 +78,6 @@ class MarkedGraph:
         """Number of free neighbors of v."""
         return len(self.neighbors(v) & self.free)
 
-    def vertex_view(self, v: int) -> VertexView:
-        status = "free" if v in self.free else "marked"
-        return VertexView(v, self.f_degree(v), status)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted pairs, in lexicographic order."""
         for a in sorted(self._adj):
@@ -156,27 +142,38 @@ class MarkedGraph:
 
         Returns ``("clique", size)``, ``("complete_bipartite", X, Y)`` with X
         the smaller side (ties broken by smallest vertex), or ``("other",)``.
-        Sizes 1 and 2 always classify as cliques.
+        Sizes 1 and 2 always classify as cliques.  Raises ``GraphError``
+        unless ``comp`` is exactly one free component.
         """
         b = frozenset(comp)
-        if not b or b not in self.free_components():
+        if not b or not b <= self.free:
             raise GraphError(f"{sorted(b)} is not a free component")
-        if all(len(self._adj[v] & b) == len(b) - 1 for v in b):
-            return ("clique", len(b))
-        # 2-color by BFS; a connected bipartite graph has a unique bipartition
+        # one BFS over the free vertices reaches exactly b iff b is a free
+        # component; it also records free-degrees and 2-colors b, and a
+        # connected bipartite graph has a unique bipartition
+        free_deg = {}
         color = {min(b): 0}
         frontier = [min(b)]
+        bipartite = True
         while frontier:
             v = frontier.pop()
-            for w in self._adj[v] & b:
+            nbrs = self._adj[v] & self.free
+            free_deg[v] = len(nbrs)
+            for w in nbrs:
                 if w not in color:
                     color[w] = 1 - color[v]
                     frontier.append(w)
                 elif color[w] == color[v]:
-                    return ("other",)
+                    bipartite = False
+        if color.keys() != b:
+            raise GraphError(f"{sorted(b)} is not a free component")
+        if all(d == len(b) - 1 for d in free_deg.values()):
+            return ("clique", len(b))
+        if not bipartite:
+            return ("other",)
         x = frozenset(v for v in b if color[v] == 0)
         y = b - x
-        if all(len(self._adj[v] & b) == len(y if v in x else x) for v in b):
+        if all(free_deg[v] == len(y if v in x else x) for v in b):
             if (len(y), min(y)) < (len(x), min(x)):
                 x, y = y, x
             return ("complete_bipartite", x, y)

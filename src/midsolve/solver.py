@@ -20,16 +20,13 @@ from typing import Callable, Optional, Union
 
 from . import csp
 from .analysis import REFERENCE_WEIGHTS, WeightVector, measure
-from .graph import GraphError, MarkedGraph
+from .graph import MarkedGraph
 from .solution import INFEASIBLE, Solution, better
 
 CaseId = Union[int, str]
 
 CSP_ENDGAME: CaseId = "csp_endgame"
 EMPTY: CaseId = "empty"
-
-#: Cases that make two or more recursive calls.
-BRANCHING_CASES = frozenset({2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
 
 
 class SolverError(ValueError):
@@ -51,33 +48,16 @@ class SearchStats:
 # Case dispatch
 
 
-def _choose_branch_vertex(g: MarkedGraph) -> int:
-    """Vertex selection for Cases (8)-(18).
+def _branch_candidates(g: MarkedGraph, comps: list, classes: list) -> list[int]:
+    """Vertex selection for Cases (8)-(18) from the node's free components
+    and their classes: all tied vertices, ascending.
 
     (a) skip vertices whose free component is a clique, (b) minimum
     F-degree, (c) prefer vertices with a free neighbor of maximum F-degree;
-    remaining ties broken by smallest identifier.
+    the branch vertex is the first (smallest identifier).
     """
-    eligible: set[int] = set()
-    for comp in g.free_components():
-        if g.classify_component(comp)[0] != "clique":
-            eligible |= comp
-    if not eligible:
-        raise SolverError("no non-clique free component to branch on")
-    dmin = min(g.f_degree(v) for v in eligible)
-    min_deg = [v for v in sorted(eligible) if g.f_degree(v) == dmin]
-    dmax = max(g.f_degree(w) for v in min_deg for w in g.free_neighbors(v))
-    cands = [v for v in min_deg
-             if any(g.f_degree(w) == dmax for w in g.free_neighbors(v))]
-    return min(cands)
-
-
-def case9_candidates(g: MarkedGraph) -> list[int]:
-    """All vertices tied under criteria (a)-(c), ascending by identifier."""
-    eligible: set[int] = set()
-    for comp in g.free_components():
-        if g.classify_component(comp)[0] != "clique":
-            eligible |= comp
+    eligible = frozenset().union(
+        *(c for c, cl in zip(comps, classes) if cl[0] != "clique"))
     if not eligible:
         return []
     dmin = min(g.f_degree(v) for v in eligible)
@@ -85,6 +65,12 @@ def case9_candidates(g: MarkedGraph) -> list[int]:
     dmax = max(g.f_degree(w) for v in min_deg for w in g.free_neighbors(v))
     return [v for v in min_deg
             if any(g.f_degree(w) == dmax for w in g.free_neighbors(v))]
+
+
+def case9_candidates(g: MarkedGraph) -> list[int]:
+    """All vertices tied under criteria (a)-(c), ascending by identifier."""
+    comps = g.free_components()
+    return _branch_candidates(g, comps, [g.classify_component(c) for c in comps])
 
 
 def _find_case7_triangle(g: MarkedGraph) -> Optional[int]:
@@ -146,7 +132,7 @@ def _dispatch(g: MarkedGraph):
     if v7 is not None:
         return 7, v7
 
-    u = _choose_branch_vertex(g)
+    u = _branch_candidates(g, comps, classes)[0]
     d = g.f_degree(u)
     nbrs = sorted(g.free_neighbors(u), key=lambda v: (g.f_degree(v), v))
     if d == 1:
@@ -178,29 +164,6 @@ def _dispatch(g: MarkedGraph):
 def dispatch_case(g: MarkedGraph) -> CaseId:
     """The rule of the algorithm listing that applies to g."""
     return _dispatch(g)[0]
-
-
-# ---------------------------------------------------------------------------
-# Reductions (rules (1) and (5) iterated to a fixpoint)
-
-
-def apply_reductions(g: MarkedGraph):
-    """Repeatedly force the unique dominator of single-neighbor marked
-    vertices and detect undominatable ones.
-
-    Returns ``(graph, forced_vertices)`` at the fixpoint, or ``None`` when
-    some marked vertex cannot be dominated.
-    """
-    forced: set[int] = set()
-    while True:
-        if any(g.f_degree(u) == 0 for u in g.marked):
-            return None
-        m1 = min((u for u in sorted(g.marked) if g.f_degree(u) == 1), default=None)
-        if m1 is None:
-            return g, frozenset(forced)
-        v = min(g.free_neighbors(m1))
-        forced.add(v)
-        g = _take(g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +317,3 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
         if needed > old_limit:
             sys.setrecursionlimit(old_limit)
     return sol, search.stats
-
-
-# Public wrappers for the individual branching procedures; each runs its
-# own sub-search so it can be exercised in isolation.
-
-def branch_all(g: MarkedGraph, u: int) -> Solution:
-    if u not in g.free:
-        raise SolverError(f"{u} is not a free vertex")
-    search = _Search(False, REFERENCE_WEIGHTS, None)
-    return search.branch_all(g, u, 0)
-
-
-def branch_mark(g: MarkedGraph, u: int) -> Solution:
-    if u not in g.free:
-        raise SolverError(f"{u} is not a free vertex")
-    search = _Search(False, REFERENCE_WEIGHTS, None)
-    return search.branch_mark(g, u, 0)
-
-
-def branch_one(g: MarkedGraph, u: int) -> Solution:
-    if u not in g.free:
-        raise SolverError(f"{u} is not a free vertex")
-    search = _Search(False, REFERENCE_WEIGHTS, None)
-    return search.branch_one(g, u, 0)

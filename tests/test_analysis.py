@@ -7,9 +7,9 @@ from conftest import complete, cycle, path, star
 from midsolve.analysis import (LB_GROWTH_RATE, REFERENCE_WEIGHTS, TIGHT_LABELS,
                                AnalysisError, Recurrence, WeightVector,
                                audit_weights, branching_factor,
-                               degree_histogram, lb_recurrence_predict,
-                               measure, optimize_weights, recurrence_catalog)
-from midsolve.graph import MarkedGraph, plain_graph
+                               lb_recurrence_predict, measure,
+                               optimize_weights, recurrence_catalog)
+from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound
 
 
@@ -56,13 +56,6 @@ class TestMeasure:
     def test_bounded_by_free_count(self):
         for g in (cycle(7), star(5), gen_lower_bound(4)):
             assert 0.0 <= measure(g) <= len(g.free) + 1e-12
-
-
-def test_degree_histogram():
-    h = degree_histogram(star(3))
-    assert (h.n0, h.n1, h.n2, h.n3plus) == (0, 3, 0, 1)
-    h = degree_histogram(plain_graph(range(2), []))
-    assert h.n0 == 2
 
 
 class TestBranchingFactor:

@@ -77,6 +77,16 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_input_contract_violation(self, instance_file, capsys):
+        # marked center of a 5-leaf star: F-degree 5 > 4
+        text = "p mids 6 5\n" + "".join(f"e 1 {i}\n" for i in range(2, 7)) + "m 1\n"
+        rc = main(["solve", instance_file(text)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_lower_bound_instance_from_writer(self, instance_file, capsys):
         path = instance_file(write_graph(gen_lower_bound(4)))
         rc = main(["solve", "--check", path])

@@ -145,6 +145,15 @@ class TestClassifyComponent:
         with pytest.raises(GraphError):
             complete(4).classify_component({0, 1})
 
+    @pytest.mark.parametrize("g, verts", [
+        (plain_graph(range(4), [(0, 1), (2, 3)]), {0, 1, 2, 3}),
+        (from_edges([(0, 1), (1, 2)], marked=[2]), {0, 1, 2}),
+        (complete(4), set()),
+    ], ids=["two_components", "marked_vertex", "empty"])
+    def test_non_component_sets_rejected(self, g, verts):
+        with pytest.raises(GraphError):
+            g.classify_component(verts)
+
     @given(random_marked_graph())
     def test_classification_consistent(self, g):
         for comp in g.free_components():
@@ -159,9 +168,3 @@ class TestClassifyComponent:
                 assert x | y == comp and not (x & y)
                 assert all(g.free_neighbors(v) & comp == y for v in x)
 
-
-def test_vertex_view():
-    g = from_edges([(0, 1), (0, 2)], marked=[2])
-    assert g.vertex_view(0).f_degree == 1
-    assert g.vertex_view(0).status == "free"
-    assert g.vertex_view(2).status == "marked"

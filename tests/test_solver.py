@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete, cycle, from_edges, path, plain_graph, star
+from midsolve.analysis import REFERENCE_WEIGHTS
 from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
-from midsolve.solver import (BRANCHING_CASES, CSP_ENDGAME, SolverError,
-                             apply_reductions, branch_all, branch_mark,
-                             branch_one, case9_candidates, case11_select,
-                             dispatch_case, solve)
+from midsolve.solver import (CSP_ENDGAME, EMPTY, SolverError, _Search,
+                             case9_candidates, case11_select, dispatch_case,
+                             solve)
 
 
 def assert_matches_oracle(g):
@@ -20,6 +20,11 @@ def assert_matches_oracle(g):
         assert check_ids(g, sol.witness)
     assert stats.nodes >= stats.leaves >= 1
     return sol, stats
+
+
+def run_procedure(name, g, u):
+    """One branching procedure of the search, run on its own from depth 0."""
+    return getattr(_Search(False, REFERENCE_WEIGHTS, None), name)(g, u, 0)
 
 
 class TestSolveBasics:
@@ -56,10 +61,31 @@ class TestSolveBasics:
                (s2.nodes, s2.leaves, s2.max_depth, s2.case_counts)
 
     def test_case_counts_bounded_by_nodes(self):
+        # every node counts one case; the terminal cases are the leaves
         _, stats = solve(gen_random(20, 0.3, 7))
-        branching = sum(v for k, v in stats.case_counts.items()
-                        if k in BRANCHING_CASES)
-        assert branching <= stats.nodes
+        assert sum(stats.case_counts.values()) == stats.nodes
+        terminal = sum(stats.case_counts.get(k, 0) for k in (EMPTY, 1, CSP_ENDGAME))
+        assert terminal == stats.leaves
+
+    # (nodes, leaves, max_depth, case_counts, witness) of fixed inputs, so a
+    # refactor of the search must reproduce the same trees
+    PINNED_TREES = [
+        (lambda: gen_random(20, 0.3, 7),
+         (97, 54, 7, {CSP_ENDGAME: 34, EMPTY: 16, 1: 4, 5: 2, 6: 10, 7: 4,
+                      8: 13, 9: 12, 12: 2}, {6, 8, 12, 20})),
+        (lambda: mark_random(gen_random(30, 0.15, 3), 0.2, 3),
+         (85, 33, 8, {CSP_ENDGAME: 25, EMPTY: 3, 1: 5, 5: 28, 6: 2, 8: 14,
+                      9: 7, 10: 1}, {8, 16, 19, 22, 23, 24, 30})),
+        (lambda: gen_lower_bound(8),
+         (94, 63, 5, {CSP_ENDGAME: 41, EMPTY: 22, 9: 31}, {1, 4, 9, 14})),
+    ]
+
+    @pytest.mark.parametrize("make, expected", PINNED_TREES,
+                             ids=["random20", "marked30", "lower_bound8"])
+    def test_search_trees_pinned(self, make, expected):
+        sol, stats = solve(make())
+        assert (stats.nodes, stats.leaves, stats.max_depth,
+                stats.case_counts, sol.witness) == expected
 
 
 class TestDispatch:
@@ -125,21 +151,21 @@ class TestDispatch:
 class TestBranchingProcedures:
     def test_branch_all_isolated_vertex(self):
         g = plain_graph(range(3), [(1, 2)])  # 0 isolated
-        sol = branch_all(g, 0)
+        sol = run_procedure("branch_all", g, 0)
         assert sol.size == 2 and 0 in sol.witness
 
     def test_branch_all_triangle(self):
-        assert branch_all(complete(3), 0).size == 1
+        assert run_procedure("branch_all", complete(3), 0).size == 1
 
     def test_branch_all_star_degree5(self):
         g = star(5)
         assert exhaustive_mids(g).size == 1
-        sol = branch_all(g, 0)
+        sol = run_procedure("branch_all", g, 0)
         assert sol.size == 1 and sol.witness == {0}
 
     def test_branch_mark_c6(self):
         g = cycle(6)
-        sol = branch_mark(g, 0)
+        sol = run_procedure("branch_mark", g, 0)
         assert sol.size == 2
         assert check_ids(g, sol.witness)
 
@@ -147,7 +173,6 @@ class TestBranchingProcedures:
         # degree-2 vertex 0 with nonadjacent neighbors 1 and 2: the third
         # subinstance must carry 1 as a marked vertex
         g = plain_graph(range(5), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
-        children = []
         original = solve(g)[0]
 
         # replay the three children by hand to inspect the marking
@@ -156,37 +181,10 @@ class TestBranchingProcedures:
         third = g.induced(g.free - g.neighbors(2) - {2} - {1},
                           (g.marked | {1}) - g.neighbors(2))
         assert 1 in third.marked
-        assert branch_mark(g, 0).size == original.size
+        assert run_procedure("branch_mark", g, 0).size == original.size
 
     def test_branch_one_k5(self):
-        assert branch_one(complete(5), 0).size == 1
-
-    def test_branch_one_requires_free_vertex(self):
-        with pytest.raises(SolverError):
-            branch_one(from_edges([(0, 1)], marked=[0]), 0)
-
-
-class TestReductions:
-    def test_forced_neighbor(self):
-        g = from_edges([(0, 1), (1, 2), (2, 3), (3, 4)], marked=[0])
-        reduced, forced = apply_reductions(g)
-        assert forced == {1}
-        assert 0 not in reduced.vertices and 2 not in reduced.vertices
-
-    def test_undominatable(self):
-        assert apply_reductions(MarkedGraph([1], [2], [])) is None
-
-    def test_no_marked_is_identity(self):
-        g = cycle(4)
-        reduced, forced = apply_reductions(g)
-        assert reduced == g and forced == frozenset()
-
-    def test_cascade(self):
-        # forcing 1 removes 2, leaving marked 3 with the single neighbor 4
-        g = from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
-                       marked=[0, 3])
-        reduced, forced = apply_reductions(g)
-        assert 1 in forced
+        assert run_procedure("branch_one", complete(5), 0).size == 1
 
 
 class TestCase11Select:
@@ -234,6 +232,7 @@ class TestAgainstOracle:
         assert_matches_oracle(plain_graph(range(n), edges))
 
     def test_named_small_graphs(self):
-        for g in (path(4), cycle(4), cycle(7), complete(6), star(4),
-                  gen_lower_bound(3), gen_lower_bound(4)):
+        for g in (path(4), cycle(4), cycle(6), cycle(7), complete(6), star(4),
+                  star(5), gen_lower_bound(3), gen_lower_bound(4),
+                  plain_graph(range(5), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])):
             assert_matches_oracle(g)
