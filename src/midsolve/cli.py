@@ -22,7 +22,7 @@ from .instances import (InstanceFormatError, gen_random, mark_random,
 from .lb_trace import leaf_growth, trace
 from .oracle import (OracleError, check_ids, exhaustive_mids,
                      mis_enumeration_mids)
-from .solver import SolverError, solve
+from .solver import PRUNED, SolverError, solve
 
 SCHEMA = "mids.v1"
 
@@ -66,6 +66,7 @@ def cmd_solve(args) -> int:
         print(_record(cmd="solve", instance=args.instance, size=size,
                       witness=_fmt_witness(sol), nodes=stats.nodes,
                       leaves=stats.leaves, max_depth=stats.max_depth,
+                      pruned=stats.case_counts.get(PRUNED, 0),
                       wall_ms=f"{wall_ms:.1f}"))
     else:
         print(f"instance: {args.instance}")

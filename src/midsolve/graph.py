@@ -78,6 +78,11 @@ class MarkedGraph:
         """Number of free neighbors of v."""
         return len(self.neighbors(v) & self.free)
 
+    def f_degrees(self) -> dict[int, int]:
+        """Number of free neighbors of every vertex, free or marked."""
+        free = self.free
+        return {v: len(ns & free) for v, ns in self._adj.items()}
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted pairs, in lexicographic order."""
         for a in sorted(self._adj):

@@ -4,7 +4,9 @@ On these inputs the solver should apply the degree-2 three-way branching
 rule (case 9) at every node that still has more than four free vertices,
 the three children should remove exactly 3, 4 and 5 vertices from the
 layered suffix, and the leaf counts should grow like the recurrence
-L[k] = L[k-3] + L[k-4] + L[k-5] per two removed vertices.
+L[k] = L[k-3] + L[k-4] + L[k-5] per two removed vertices.  Both runs
+solve in paper mode (``prune=False``), so they measure the whole tree of
+the algorithm the paper analyses rather than a pruned one.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def trace(l: int) -> TraceReport:
                                   len(node_graph.free), case,
                                   node_graph.free, cands))
 
-    _, stats = solve(g, on_node=hook)
+    _, stats = solve(g, on_node=hook, prune=False)
 
     report = TraceReport(l=l, nodes=stats.nodes, leaves=stats.leaves,
                          case9_only_above_4=True)
@@ -97,7 +99,7 @@ def leaf_growth(l_min: int, l_max: int) -> list[tuple[int, int, Optional[float]]
     rows: list[tuple[int, int, Optional[float]]] = []
     prev = None
     for l in range(l_min, l_max + 1):
-        _, stats = solve(gen_lower_bound(l))
+        _, stats = solve(gen_lower_bound(l), prune=False)
         ratio = stats.leaves / prev if prev else None
         rows.append((l, stats.leaves, ratio))
         prev = stats.leaves

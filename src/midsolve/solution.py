@@ -1,4 +1,5 @@
-"""Result type shared by the branch-and-reduce solver and the oracles.
+"""Result types: the solution shared by the branch-and-reduce solver and
+the oracles, and the search statistics the solver returns with it.
 
 A marked graph may have no independent dominating set at all (e.g. a marked
 vertex with no free neighbor), so results are either a witness set with its
@@ -8,8 +9,8 @@ of a large sentinel number keeps minimum computations honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -55,3 +56,18 @@ def better(current: Optional[Solution], challenger: Solution) -> Solution:
     if challenger.feasible and challenger.size < current.size:
         return challenger
     return current
+
+
+@dataclass
+class SearchStats:
+    """Size and shape of one search tree; ``case_counts`` maps each case
+    identifier to the number of nodes that took it.  Kept beside
+    ``Solution`` so that a kept result refers to this module only, not to
+    the solver and everything it imports."""
+    nodes: int = 0
+    leaves: int = 0
+    max_depth: int = 0
+    case_counts: dict = field(default_factory=dict)
+
+    def count(self, case: Union[int, str]) -> None:
+        self.case_counts[case] = self.case_counts.get(case, 0) + 1

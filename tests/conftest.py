@@ -33,3 +33,14 @@ def star(leaves):
 def from_edges(edges, marked=(), extra=()):
     verts = {v for e in edges for v in e} | set(marked) | set(extra)
     return MarkedGraph(verts - set(marked), marked, edges)
+
+
+def connected_labeled_graphs(max_n):
+    """All connected labeled plain graphs on up to max_n vertices."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            g = plain_graph(range(n), edges)
+            if len(g.free_components()) == 1:
+                yield g

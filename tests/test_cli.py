@@ -35,6 +35,7 @@ class TestSolve:
         assert fields["size"] == "2"
         assert fields["witness"] == "1,3"
         assert int(fields["nodes"]) >= 1
+        assert 0 <= int(fields["pruned"]) < int(fields["nodes"])
 
     def test_infeasible_exit_code(self, instance_file, capsys):
         rc = main(["solve", instance_file(INFEASIBLE)])

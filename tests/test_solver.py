@@ -1,12 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete, cycle, from_edges, path, plain_graph, star
+from conftest import (complete, connected_labeled_graphs, cycle, from_edges,
+                      path, plain_graph, star)
 from midsolve.analysis import REFERENCE_WEIGHTS
 from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
-from midsolve.solver import (CSP_ENDGAME, EMPTY, SolverError, _Search,
+from midsolve.solver import (CSP_ENDGAME, EMPTY, PRUNED, SolverError, _Search,
                              case9_candidates, case11_select, dispatch_case,
                              solve)
 
@@ -24,7 +27,7 @@ def assert_matches_oracle(g):
 
 def run_procedure(name, g, u):
     """One branching procedure of the search, run on its own from depth 0."""
-    return getattr(_Search(False, REFERENCE_WEIGHTS, None), name)(g, u, 0)
+    return getattr(_Search(False, REFERENCE_WEIGHTS, None, True), name)(g, u, 0, math.inf)
 
 
 class TestSolveBasics:
@@ -64,11 +67,12 @@ class TestSolveBasics:
         # every node counts one case; the terminal cases are the leaves
         _, stats = solve(gen_random(20, 0.3, 7))
         assert sum(stats.case_counts.values()) == stats.nodes
-        terminal = sum(stats.case_counts.get(k, 0) for k in (EMPTY, 1, CSP_ENDGAME))
+        terminal = sum(stats.case_counts.get(k, 0)
+                       for k in (EMPTY, 1, CSP_ENDGAME, PRUNED))
         assert terminal == stats.leaves
 
-    # (nodes, leaves, max_depth, case_counts, witness) of fixed inputs, so a
-    # refactor of the search must reproduce the same trees
+    # (nodes, leaves, max_depth, case_counts, witness) of fixed inputs in
+    # paper mode, so a refactor of the search must reproduce the same trees
     PINNED_TREES = [
         (lambda: gen_random(20, 0.3, 7),
          (97, 54, 7, {CSP_ENDGAME: 34, EMPTY: 16, 1: 4, 5: 2, 6: 10, 7: 4,
@@ -83,6 +87,26 @@ class TestSolveBasics:
     @pytest.mark.parametrize("make, expected", PINNED_TREES,
                              ids=["random20", "marked30", "lower_bound8"])
     def test_search_trees_pinned(self, make, expected):
+        sol, stats = solve(make(), prune=False)
+        assert (stats.nodes, stats.leaves, stats.max_depth,
+                stats.case_counts, sol.witness) == expected
+
+    # the same inputs with pruning on: the same witnesses from smaller trees
+    PINNED_PRUNED_TREES = [
+        (lambda: gen_random(20, 0.3, 7),
+         (66, 38, 7, {CSP_ENDGAME: 2, EMPTY: 3, PRUNED: 31, 1: 2, 5: 1, 6: 4,
+                      7: 1, 8: 10, 9: 10, 12: 2}, {6, 8, 12, 20})),
+        (lambda: mark_random(gen_random(30, 0.15, 3), 0.2, 3),
+         (70, 28, 7, {CSP_ENDGAME: 1, EMPTY: 1, PRUNED: 22, 1: 4, 5: 21, 6: 1,
+                      8: 14, 9: 5, 10: 1}, {8, 16, 19, 22, 23, 24, 30})),
+        (lambda: gen_lower_bound(8),
+         (52, 35, 5, {CSP_ENDGAME: 1, EMPTY: 2, PRUNED: 32, 9: 17},
+          {1, 4, 9, 14})),
+    ]
+
+    @pytest.mark.parametrize("make, expected", PINNED_PRUNED_TREES,
+                             ids=["random20", "marked30", "lower_bound8"])
+    def test_pruned_search_trees_pinned(self, make, expected):
         sol, stats = solve(make())
         assert (stats.nodes, stats.leaves, stats.max_depth,
                 stats.case_counts, sol.witness) == expected
@@ -236,3 +260,51 @@ class TestAgainstOracle:
                   star(5), gen_lower_bound(3), gen_lower_bound(4),
                   plain_graph(range(5), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])):
             assert_matches_oracle(g)
+
+
+def assert_pruning_exact(g):
+    """Pruned size equals the paper-mode and oracle sizes, the pruned witness
+    is the paper-mode one and an independent dominating set, and the
+    invariant checks of assert mode hold with pruning on."""
+    sol, _ = solve(g, assert_mode=True)
+    paper, _ = solve(g, prune=False)
+    assert sol == paper
+    if sol.feasible:
+        assert check_ids(g, sol.witness)
+    assert sol.size == exhaustive_mids(g).size
+
+
+class TestPruning:
+    def test_connected_labeled_graphs(self):
+        for g in connected_labeled_graphs(5):
+            assert_pruning_exact(g)
+
+    def test_seeded_marked_graphs(self):
+        for seed in range(500):
+            n = 4 + seed % 5
+            g = mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
+                            0.25, seed + 10_000)
+            assert_pruning_exact(g)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_marked_graphs_up_to_20(self, seed):
+        n = 8 + seed % 13
+        g = mark_random(gen_random(n, 0.12 + (seed % 5) * 0.06, seed),
+                        0.25, seed + 500)
+        assert_pruning_exact(g)
+
+    def test_pruned_node_is_a_leaf(self):
+        # taking vertex 0 of C6 gives a solution of size 2; every later child
+        # that commits a vertex still has a free component left, so it cannot
+        # beat 2 and is cut unexpanded
+        seen = []
+        sol, stats = solve(cycle(6), on_node=lambda d, g, case: seen.append(case))
+        assert sol.size == 2
+        assert stats.case_counts == {9: 1, 6: 1, EMPTY: 1, PRUNED: 3}
+        assert stats.leaves == 4 and seen.count(PRUNED) == 3
+
+    def test_root_is_never_pruned(self):
+        # ub is infinite at the root: a root endgame runs as in paper mode
+        g = plain_graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)])
+        assert solve(g)[1].case_counts == solve(g, prune=False)[1].case_counts \
+            == {CSP_ENDGAME: 1}
