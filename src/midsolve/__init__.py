@@ -3,8 +3,8 @@ with reference oracles, branching-recurrence analysis tooling and a
 worst-case instance family."""
 
 from .graph import GraphError, MarkedGraph, plain_graph
-from .solution import INFEASIBLE, Solution
-from .solver import SearchStats, SolverError, dispatch_case, solve
+from .solution import INFEASIBLE, SearchStats, Solution
+from .solver import SolverError, dispatch_case, solve
 
 __all__ = [
     "GraphError",

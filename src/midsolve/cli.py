@@ -37,12 +37,12 @@ def _record(**fields) -> str:
 
 def _load(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return read_graph(fh.read())
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    except InstanceFormatError as exc:
+    except (InstanceFormatError, UnicodeDecodeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -182,6 +182,16 @@ def _parse_weights(text: str) -> WeightVector:
     return w
 
 
+def _probability(text: str) -> float:
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mids", description="Exact minimum independent dominating set solver.")
@@ -214,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="solve a generated corpus")
     p_bench.add_argument("--n", type=int, default=30)
-    p_bench.add_argument("--p", type=float, default=0.2)
+    p_bench.add_argument("--p", type=_probability, default=0.2)
     p_bench.add_argument("--count", type=int, default=5)
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--mark-fraction", type=float, default=0.0)
+    p_bench.add_argument("--mark-fraction", type=_probability, default=0.0)
     p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--format", choices=("text", "records"), default="records")
     p_bench.set_defaults(func=cmd_bench)

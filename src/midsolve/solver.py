@@ -4,6 +4,9 @@ marked graphs.
 The recursion dispatches the first applicable rule of an ordered list of 18
 cases; the terminal states are the empty graph, an undominatable marked
 vertex, and the clique-union endgame which is delegated to the CSP encoding.
+``_dispatch`` picks the rule and the vertices it branches on, and
+``_children`` is the one place where a rule's children are built, one at a
+time in search order, as the vertices each commits and the instance left.
 All tie-breaks (rule candidates, neighbor orderings) use ascending vertex
 identifiers, so two runs on the same input produce identical search trees.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Collection, Optional, Union
+from typing import AbstractSet, Callable, Optional, Union
 
 from . import csp
 from .analysis import REFERENCE_WEIGHTS, WeightVector, measure
@@ -110,7 +113,8 @@ def case11_select(g: MarkedGraph, u: int) -> int:
 
 
 def _dispatch(g: MarkedGraph, ub: float):
-    """First applicable rule in listing order; returns (case, payload).
+    """First applicable rule in listing order; returns (case, x) where ``x``
+    is what ``_children`` reads to build the case's children.
 
     Ahead of the rules, a node whose lower bound (its number of free
     components) is at least the exclusive upper bound ``ub`` is PRUNED.
@@ -139,11 +143,11 @@ def _dispatch(g: MarkedGraph, ub: float):
 
     m1 = min((u for u in g.marked if deg[u] == 1), default=None)
     if m1 is not None:
-        return 5, m1
+        return 5, min(g.free_neighbors(m1))
 
     for comp, cl in zip(comps, classes):
         if cl[0] == "complete_bipartite" and len(comp) > 2:
-            return 6, (comp, cl[1], cl[2])
+            return 6, (cl[1], cl[2])
 
     v7 = _find_case7_triangle(g, deg)
     if v7 is not None:
@@ -156,22 +160,21 @@ def _dispatch(g: MarkedGraph, ub: float):
         return 8, u
     if d == 2:
         if deg[nbrs[0]] <= 4:
-            return 9, u
+            return 9, (u, nbrs)
         return 10, u
     if d == 3:
         if all(deg[v] == 3 for v in nbrs):
-            return 11, (u, case11_select(g, u))
+            return 11, case11_select(g, u)
         v4 = min((v for v in nbrs if deg[v] == 4), default=None)
         if v4 is not None:
-            return 12, (u, v4)
+            return 12, v4
         v5 = min((v for v in nbrs if deg[v] == 5), default=None)
         if v5 is not None:
             return 13, (u, v5)
         if sum(1 for v in nbrs if deg[v] == 3) >= 2:
             if g.is_clique(g.free_neighbors(u)):
-                deg_sorted = sorted(nbrs, key=lambda v: (-deg[v], v))
-                return 14, (u, deg_sorted[0])
-            return 15, u
+                return 14, min(nbrs, key=lambda v: (-deg[v], v))
+            return 15, (u, nbrs)
         return 16, u
     if d == 4:
         return 17, u
@@ -184,17 +187,63 @@ def dispatch_case(g: MarkedGraph) -> CaseId:
 
 
 # ---------------------------------------------------------------------------
-# Child construction
+# Children
 
 
-def _take(g: MarkedGraph, v: int) -> MarkedGraph:
-    """Instance after committing free vertex v: N[v] leaves the graph."""
-    return g.induced(g.free - g.neighbors(v) - {v}, g.marked - g.neighbors(v))
-
-
-def _take_set(g: MarkedGraph, vs: frozenset) -> MarkedGraph:
-    nbrs = frozenset().union(*(g.neighbors(v) for v in vs)) if vs else frozenset()
+def _take(g: MarkedGraph, vs: AbstractSet[int]) -> MarkedGraph:
+    """Instance after committing the free vertices vs: N[vs] leaves the graph."""
+    nbrs = frozenset().union(*(g.neighbors(v) for v in vs))
     return g.induced(g.free - nbrs - vs, g.marked - nbrs)
+
+
+def _children(g: MarkedGraph, case: CaseId, x):
+    """The children of a branching node in search order, each built only
+    when it is asked for: pairs ``(taken, child)`` of the vertices the
+    branch commits and the instance left to solve.  ``x`` is what
+    ``_dispatch`` returned with ``case``."""
+    if case in (2, 8, 10, 16, 18):
+        # x or one of its free neighbors joins the solution
+        for v in [x] + sorted(g.free_neighbors(x)):
+            yield {v}, _take(g, {v})
+    elif case in (9, 15):
+        # the same, marking the neighbors tried before (ordered by F-degree)
+        u, nbrs = x
+        yield {u}, _take(g, {u})
+        for i, v in enumerate(nbrs):
+            earlier = frozenset(nbrs[:i])
+            yield {v}, g.induced(g.free - g.neighbors(v) - {v} - earlier,
+                                 (g.marked | earlier) - g.neighbors(v))
+    elif case in (3, 11, 12, 17):
+        # take x or mark it
+        yield {x}, _take(g, {x})
+        yield (), g.induced(g.free - {x}, g.marked | {x})
+    elif case == 5:
+        # x is the only free neighbor of a marked vertex
+        yield {x}, _take(g, {x})
+    elif case == 6:
+        # one side of a complete bipartite component
+        for side in x:
+            yield side, _take(g, side)
+    elif case in (7, 14):
+        yield {x}, _take(g, {x})
+        # x is deleted but not marked: a clique in its neighborhood
+        # guarantees a dominator in every child solution
+        yield (), g.induced(g.free - {x}, g.marked)
+    elif case == 13:
+        u, v = x
+        yield {u}, _take(g, {u})
+        yield {v}, _take(g, {v})
+        yield (), g.induced(g.free - {u, v}, g.marked | {u, v})
+    else:
+        raise SolverError(f"unhandled case {case}")  # pragma: no cover
+
+
+def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
+    """The input contract, also kept by every child: each marked vertex has
+    at most 4 free neighbors."""
+    bad = [u for u in g.marked if g.f_degree(u) > 4]
+    if bad:
+        raise SolverError(f"{prefix}marked vertex {min(bad)} has F-degree > 4")
 
 
 class _Search:
@@ -206,112 +255,41 @@ class _Search:
         self.on_node = on_node
         self.prune = prune
 
-    # -- node bookkeeping -------------------------------------------------
-
-    def _enter(self, g: MarkedGraph, depth: int, ub: float):
-        self.stats.nodes += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-        case, payload = _dispatch(g, ub)
-        self.stats.count(case)
+    def _solve(self, g: MarkedGraph, depth: int, ub: float) -> Solution:
+        """Best solution of g of size ``< ub``, or ``INFEASIBLE``.  Each
+        child only has to beat ``min(ub, best)`` less the vertices it
+        commits, where ``best`` is the best of its earlier siblings."""
+        stats = self.stats
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        case, x = _dispatch(g, ub)
+        stats.count(case)
         if self.on_node is not None:
             self.on_node(depth, g, case)
         if self.assert_mode:
-            bad = [u for u in g.marked if g.f_degree(u) > 4]
-            if bad:
-                raise SolverError(f"marked vertex {min(bad)} has F-degree > 4")
-        return case, payload
+            _check_marked_degrees(g)
 
-    def _child(self, parent: MarkedGraph, child: MarkedGraph,
-               taken: Collection[int], depth: int, ub: float, best: Solution,
-               branching: bool = True) -> Solution:
-        """Solve one child that commits the vertices ``taken`` and return the
-        better of its solution (plus ``taken``) and ``best``, the best of its
-        earlier siblings.  The child only has to beat ``min(ub, best)``."""
-        if self.assert_mode:
-            if len(child.free) >= len(parent.free):
-                raise SolverError("child does not shrink the free vertex set")
-            if branching:
-                drop = measure(parent, self.weights) - measure(child, self.weights)
-                if drop <= 1e-12:
-                    raise SolverError(f"measure did not decrease (drop={drop})")
-        if self.prune and best.feasible:
-            ub = min(ub, best.size)
-        sub = self._solve(child, depth + 1, ub - len(taken))
-        return better(best, sub.plus(taken))
-
-    # -- branching procedures ---------------------------------------------
-
-    def branch_all(self, g: MarkedGraph, u: int, depth: int, ub: float) -> Solution:
-        best = INFEASIBLE
-        for v in [u] + sorted(g.free_neighbors(u)):
-            best = self._child(g, _take(g, v), {v}, depth, ub, best)
-        return best
-
-    def branch_mark(self, g: MarkedGraph, u: int, depth: int, ub: float) -> Solution:
-        nbrs = sorted(g.free_neighbors(u), key=lambda v: (g.f_degree(v), v))
-        best = self._child(g, _take(g, u), {u}, depth, ub, INFEASIBLE)
-        for i, v in enumerate(nbrs):
-            earlier = frozenset(nbrs[:i])
-            child = g.induced(
-                g.free - g.neighbors(v) - {v} - earlier,
-                (g.marked | earlier) - g.neighbors(v))
-            best = self._child(g, child, {v}, depth, ub, best)
-        return best
-
-    def branch_one(self, g: MarkedGraph, u: int, depth: int, ub: float) -> Solution:
-        best = self._child(g, _take(g, u), {u}, depth, ub, INFEASIBLE)
-        marked = g.induced(g.free - {u}, g.marked | {u})
-        return self._child(g, marked, (), depth, ub, best)
-
-    # -- main recursion ----------------------------------------------------
-
-    def _solve(self, g: MarkedGraph, depth: int, ub: float) -> Solution:
-        case, payload = self._enter(g, depth, ub)
-
-        if case == EMPTY:
-            self.stats.leaves += 1
-            return Solution.found(0, ())
-        if case == 1 or case == PRUNED:
-            self.stats.leaves += 1
+        if case in (EMPTY, 1, PRUNED, CSP_ENDGAME):
+            stats.leaves += 1
+            if case == EMPTY:
+                return Solution.found(0, ())
+            if case == CSP_ENDGAME:
+                return csp.solve_clique_union(g)
             return INFEASIBLE
-        if case == CSP_ENDGAME:
-            self.stats.leaves += 1
-            return csp.solve_clique_union(g)
 
-        if case == 2:
-            return self.branch_all(g, payload, depth, ub)
-        if case == 3:
-            return self.branch_one(g, payload, depth, ub)
-        if case == 5:
-            v = min(g.free_neighbors(payload))
-            return self._child(g, _take(g, v), {v}, depth, ub, INFEASIBLE,
-                               branching=False)
-        if case == 6:
-            comp, x, y = payload
-            best = self._child(g, _take_set(g, x), x, depth, ub, INFEASIBLE)
-            return self._child(g, _take_set(g, y), y, depth, ub, best)
-        if case in (7, 14):
-            v = payload if case == 7 else payload[1]
-            best = self._child(g, _take(g, v), {v}, depth, ub, INFEASIBLE)
-            # v is deleted but not marked: a clique in its neighborhood
-            # guarantees a dominator in every child solution
-            dropped = g.induced(g.free - {v}, g.marked)
-            return self._child(g, dropped, (), depth, ub, best)
-        if case in (8, 10, 16, 18):
-            return self.branch_all(g, payload, depth, ub)
-        if case in (9, 15):
-            return self.branch_mark(g, payload, depth, ub)
-        if case in (11, 12):
-            return self.branch_one(g, payload[1], depth, ub)
-        if case == 13:
-            u, v = payload
-            best = self._child(g, _take(g, u), {u}, depth, ub, INFEASIBLE)
-            best = self._child(g, _take(g, v), {v}, depth, ub, best)
-            both = g.induced(g.free - {u, v}, g.marked | {u, v})
-            return self._child(g, both, (), depth, ub, best)
-        if case == 17:
-            return self.branch_one(g, payload, depth, ub)
-        raise SolverError(f"unhandled case {case}")  # pragma: no cover
+        best = INFEASIBLE
+        for taken, child in _children(g, case, x):
+            if self.assert_mode:
+                if len(child.free) >= len(g.free):
+                    raise SolverError("child does not shrink the free vertex set")
+                if case != 5:  # forcing, not branching
+                    drop = measure(g, self.weights) - measure(child, self.weights)
+                    if drop <= 1e-12:
+                        raise SolverError(f"measure did not decrease (drop={drop})")
+            bound = min(ub, best.size) if self.prune and best.feasible else ub
+            best = better(best, self._solve(child, depth + 1,
+                                            bound - len(taken)).plus(taken))
+        return best
 
 
 def solve(g: MarkedGraph, *, assert_mode: bool = False,
@@ -335,10 +313,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     nodes, leaves, case counts and witness as before pruning existed.  Both
     modes return the same solution.
     """
-    bad = [u for u in g.marked if g.f_degree(u) > 4]
-    if bad:
-        raise SolverError(
-            f"input contract violated: marked vertex {min(bad)} has F-degree > 4")
+    _check_marked_degrees(g, "input contract violated: ")
     needed = 60 * (len(g.free) + len(g.marked)) + 2000
     old_limit = sys.getrecursionlimit()
     if needed > old_limit:

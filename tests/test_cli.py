@@ -78,6 +78,16 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["solve", "oracle"])
+    def test_non_utf8_file(self, tmp_path, capsys, cmd):
+        path = tmp_path / "g.mids"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(path)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
     def test_input_contract_violation(self, instance_file, capsys):
         # marked center of a 5-leaf star: F-degree 5 > 4
         text = "p mids 6 5\n" + "".join(f"e 1 {i}\n" for i in range(2, 7)) + "m 1\n"
@@ -183,6 +193,17 @@ class TestBench:
         rc = main(["bench", "--n", "14", "--count", "2", "--mark-fraction",
                    "0.2", "--seed", "3"])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("flag, value", [("--p", "2"),
+                                             ("--mark-fraction", "1.5"),
+                                             ("--p", "nan")])
+    def test_probability_out_of_range(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("mids bench: error: argument " + flag)
 
     def test_parallel_matches_serial(self, capsys):
         main(["bench", "--n", "12", "--count", "4", "--seed", "9"])

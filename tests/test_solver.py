@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (complete, connected_labeled_graphs, cycle, from_edges,
                       path, plain_graph, star)
-from midsolve.analysis import REFERENCE_WEIGHTS
 from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
-from midsolve.solver import (CSP_ENDGAME, EMPTY, PRUNED, SolverError, _Search,
-                             case9_candidates, case11_select, dispatch_case,
-                             solve)
+from midsolve.solution import INFEASIBLE, better
+from midsolve.solver import (CSP_ENDGAME, EMPTY, PRUNED, SolverError,
+                             _children, _dispatch, case9_candidates,
+                             case11_select, dispatch_case, solve)
 
 
 def assert_matches_oracle(g):
@@ -25,9 +25,20 @@ def assert_matches_oracle(g):
     return sol, stats
 
 
-def run_procedure(name, g, u):
-    """One branching procedure of the search, run on its own from depth 0."""
-    return getattr(_Search(False, REFERENCE_WEIGHTS, None, True), name)(g, u, 0, math.inf)
+def best_of_children(g, case, x):
+    """The children of one rule, each solved on its own: the best solution
+    plus the vertices its branch commits."""
+    best = INFEASIBLE
+    for taken, child in _children(g, case, x):
+        best = better(best, solve(child)[0].plus(taken))
+    return best
+
+
+def pendant_clique():
+    """K4 on {0,1,2,3} whose vertex 3 alone reaches a triangle {4,5,6}."""
+    return plain_graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                  (2, 3), (3, 4), (3, 5), (3, 6),
+                                  (4, 5), (4, 6), (5, 6)])
 
 
 class TestSolveBasics:
@@ -141,10 +152,7 @@ class TestDispatch:
         assert dispatch_case(plain_graph([], [])) == "empty"
 
     def test_case14_pendant_clique(self):
-        # K4 on {0,1,2,3} whose vertex 3 alone reaches a triangle {4,5,6}
-        g = plain_graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-                                   (2, 3), (3, 4), (3, 5), (3, 6),
-                                   (4, 5), (4, 6), (5, 6)])
+        g = pendant_clique()
         assert dispatch_case(g) == 14
         assert_matches_oracle(g)
 
@@ -175,21 +183,21 @@ class TestDispatch:
 class TestBranchingProcedures:
     def test_branch_all_isolated_vertex(self):
         g = plain_graph(range(3), [(1, 2)])  # 0 isolated
-        sol = run_procedure("branch_all", g, 0)
+        sol = best_of_children(g, 8, 0)
         assert sol.size == 2 and 0 in sol.witness
 
     def test_branch_all_triangle(self):
-        assert run_procedure("branch_all", complete(3), 0).size == 1
+        assert best_of_children(complete(3), 8, 0).size == 1
 
     def test_branch_all_star_degree5(self):
         g = star(5)
         assert exhaustive_mids(g).size == 1
-        sol = run_procedure("branch_all", g, 0)
+        sol = best_of_children(g, 2, 0)
         assert sol.size == 1 and sol.witness == {0}
 
     def test_branch_mark_c6(self):
         g = cycle(6)
-        sol = run_procedure("branch_mark", g, 0)
+        sol = best_of_children(g, 9, (0, [1, 5]))
         assert sol.size == 2
         assert check_ids(g, sol.witness)
 
@@ -197,18 +205,35 @@ class TestBranchingProcedures:
         # degree-2 vertex 0 with nonadjacent neighbors 1 and 2: the third
         # subinstance must carry 1 as a marked vertex
         g = plain_graph(range(5), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
-        original = solve(g)[0]
-
-        # replay the three children by hand to inspect the marking
-        nbrs = sorted(g.free_neighbors(0), key=lambda v: (g.f_degree(v), v))
-        assert nbrs == [1, 2]
-        third = g.induced(g.free - g.neighbors(2) - {2} - {1},
-                          (g.marked | {1}) - g.neighbors(2))
-        assert 1 in third.marked
-        assert run_procedure("branch_mark", g, 0).size == original.size
+        assert _dispatch(g, math.inf) == (9, (0, [1, 2]))
+        children = list(_children(g, 9, (0, [1, 2])))
+        assert [taken for taken, _ in children] == [{0}, {1}, {2}]
+        third = children[2][1]
+        assert third.marked == {1} and third.free == {3}
+        assert best_of_children(g, 9, (0, [1, 2])).size == solve(g)[0].size
 
     def test_branch_one_k5(self):
-        assert run_procedure("branch_one", complete(5), 0).size == 1
+        assert best_of_children(complete(5), 3, 0).size == 1
+
+    # one graph per branching rule, with the rule the dispatch picks for it
+    RULE_GRAPHS = {
+        **{case: gen_random(*args) for case, args in TestDispatch.CASE_SEEDS.items()},
+        2: complete(7),
+        3: complete(5),
+        5: from_edges([(0, 1), (1, 2), (2, 3), (3, 4)], marked=[0]),
+        14: pendant_clique(),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RULE_GRAPHS))
+    def test_children_keep_the_optimum(self, case):
+        # every rule's children, each solved on its own, hold an optimal
+        # solution: the best of them plus its committed vertices
+        g = self.RULE_GRAPHS[case]
+        got, x = _dispatch(g, math.inf)
+        assert got == case
+        sol = best_of_children(g, case, x)
+        assert sol.size == exhaustive_mids(g).size
+        assert check_ids(g, sol.witness)
 
 
 class TestCase11Select:
