@@ -192,6 +192,18 @@ def _probability(text: str) -> float:
     return p
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mids", description="Exact minimum independent dominating set solver.")
@@ -223,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.set_defaults(func=cmd_lbtrace)
 
     p_bench = sub.add_parser("bench", help="solve a generated corpus")
-    p_bench.add_argument("--n", type=int, default=30)
+    p_bench.add_argument("--n", type=_int_at_least(0), default=30)
     p_bench.add_argument("--p", type=_probability, default=0.2)
-    p_bench.add_argument("--count", type=int, default=5)
+    p_bench.add_argument("--count", type=_int_at_least(0), default=5)
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--mark-fraction", type=_probability, default=0.0)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_bench.add_argument("--format", choices=("text", "records"), default="records")
     p_bench.set_defaults(func=cmd_bench)
 

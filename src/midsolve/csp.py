@@ -6,13 +6,15 @@ exactly one vertex per clique.  This becomes a CSP with one variable per
 clique (values = positions within the clique) and, per marked vertex, one
 "at least one of these (variable, value) literals holds" constraint.
 
-Domains of size 3 and 4 are split down to binary domains (halving, with
-singleton propagation for the odd value), and the resulting binary-domain
-instances are solved by chronological backtracking with unit propagation.
+Domains of size 3 and 4 are split into halves, and the product of the
+halves gives the binary-domain subinstances, each built by one restriction
+(a singleton half fixes its variable and is propagated).  They are solved
+by chronological backtracking with unit propagation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +35,9 @@ class CspInstance:
 
     ``domains[i]`` is the ordered tuple of values variable i may take; each
     constraint is a set of literals of which at least one must hold.  A
-    constraint with no literals is unsatisfiable.
+    constraint with no literals is unsatisfiable.  Every literal names a
+    variable in ``range(len(domains))``; its value may lie outside the
+    variable's domain, in which case the literal is false.
     """
 
     domains: tuple[tuple[int, ...], ...]
@@ -43,10 +47,14 @@ class CspInstance:
         for i, dom in enumerate(self.domains):
             if not dom:
                 raise CspError(f"variable {i} has an empty domain")
+        variables = set(range(len(self.domains)))
         for c in self.constraints:
             scope = {var for var, _ in c}
             if len(scope) > 4:
                 raise CspError(f"constraint scope {sorted(scope)} exceeds 4 variables")
+            if not scope <= variables:
+                raise CspError(f"constraint scope {sorted(scope)} names a variable "
+                               f"outside 0..{len(self.domains) - 1}")
 
     @property
     def n_vars(self) -> int:
@@ -72,7 +80,7 @@ def encode(g: MarkedGraph) -> tuple[CspInstance, CliqueEncoding]:
     """
     comps = g.free_components()
     for comp in comps:
-        if g.classify_component(comp)[0] != "clique":
+        if not g.is_clique(comp):
             raise CspError(f"free component {sorted(comp)} is not a clique")
         if len(comp) > 4:
             raise CspError(f"free clique {sorted(comp)} larger than 4")
@@ -96,45 +104,36 @@ def encode(g: MarkedGraph) -> tuple[CspInstance, CliqueEncoding]:
 # Domain splitting
 
 
-def _restrict(inst: CspInstance, var: int, values: tuple[int, ...]) -> CspInstance:
-    """Instance with var's domain narrowed; literals outside the new domain
-    are removed, and a now-fixed variable satisfies or sheds its literals."""
-    domains = list(inst.domains)
-    domains[var] = values
-    fixed = values[0] if len(values) == 1 else None
-    constraints = []
-    for c in inst.constraints:
-        if fixed is not None and (var, fixed) in c:
-            continue  # satisfied outright
-        kept = frozenset(lit for lit in c
-                         if lit[0] != var or lit[1] in values)
-        if fixed is not None:
-            kept = frozenset(lit for lit in kept if lit[0] != var)
-        constraints.append(kept)
-    return CspInstance(tuple(domains), tuple(constraints))
-
-
 def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     """Equivalent family of instances with all domains of size <= 2.
 
-    A size-4 domain halves into two binary branches; a size-3 domain yields
-    one binary branch and one fixed-value branch whose assignment is
-    propagated into the constraints.  The union of the families' solution
-    sets equals the input's.
+    Every domain of size > 2 is cut into consecutive pairs (a size-4 domain
+    into two binary halves, a size-3 one into a binary half and a singleton).
+    One subinstance per choice of a part for each such variable, in
+    ``itertools.product`` order over ascending variables, is built by one
+    restriction: a constraint that a fixed singleton satisfies is dropped,
+    and every other constraint loses the literals the choice rules out (all
+    literals of a fixed variable, the others' values outside their part).
+    The union of the family's solution sets equals the input's.
     """
-    out: list[CspInstance] = []
-    stack = [inst]
-    while stack:
-        cur = stack.pop()
-        var = next((i for i, d in enumerate(cur.domains) if len(d) > 2), None)
-        if var is None:
-            out.append(cur)
-            continue
-        dom = cur.domains[var]
-        halves = [dom[:2], dom[2:]]  # size 3 leaves a singleton second half
-        # push in reverse so the first half is explored (and reported) first
-        for values in reversed(halves):
-            stack.append(_restrict(cur, var, values))
+    used = frozenset().union(*inst.constraints)
+    parts = []  # per wide variable: (var, part, literals the part rules out)
+    for var, dom in enumerate(inst.domains):
+        if len(dom) > 2:
+            pairs = [dom[k:k + 2] for k in range(0, len(dom), 2)]
+            parts.append([(var, part, {lit for lit in used if lit[0] == var
+                                       and (len(part) == 1 or lit[1] not in part)})
+                          for part in pairs])
+    out = []
+    for choice in itertools.product(*parts):
+        domains = list(inst.domains)
+        for var, part, _ in choice:
+            domains[var] = part
+        satisfied = {(var, part[0]) for var, part, _ in choice if len(part) == 1}
+        ruled_out = set().union(*(dead for _, _, dead in choice))
+        out.append(CspInstance(tuple(domains),
+                               tuple(c - ruled_out for c in inst.constraints
+                                     if satisfied.isdisjoint(c))))
     return out
 
 

@@ -198,6 +198,16 @@ class TestBench:
                                              ("--mark-fraction", "1.5"),
                                              ("--p", "nan")])
     def test_probability_out_of_range(self, capsys, flag, value):
+        self.assert_usage_error(capsys, flag, value)
+
+    @pytest.mark.parametrize("flag, value", [("--n", "-1"), ("--count", "-2"),
+                                             ("--jobs", "0"), ("--jobs", "-3"),
+                                             ("--count", "two")])
+    def test_integer_out_of_range(self, capsys, flag, value):
+        self.assert_usage_error(capsys, flag, value)
+
+    @staticmethod
+    def assert_usage_error(capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["bench", flag, value])
         assert exc.value.code == EXIT_USAGE

@@ -31,6 +31,11 @@ class TestInstanceValidation:
         with pytest.raises(CspError):
             CspInstance(((1,),) * 5, (lits,))
 
+    @pytest.mark.parametrize("var", [3, -1])
+    def test_variable_outside_range_rejected(self, var):
+        with pytest.raises(CspError):
+            CspInstance(((1, 2),), (frozenset({(var, 1)}),))
+
     def test_scope_of_four_accepted(self):
         lits = frozenset((i, 1) for i in range(4))
         inst = CspInstance(((1, 2),) * 4, (lits,))
@@ -107,6 +112,25 @@ class TestSplitToBinary:
         binary, singleton = split_to_binary(inst)
         assert singleton.constraints == (frozenset({(1, 1)}),)
         assert binary.constraints == (c,)
+
+    def test_product_of_halves_pinned(self):
+        # sizes 3, 4, 2: the first two split, the binary variable 2 stays
+        fixed_value = frozenset({(0, 3), (2, 1)})
+        split_halves = frozenset({(0, 1), (1, 3)})
+        other_half = frozenset({(1, 1), (2, 2)})
+        binary_only = frozenset({(2, 1), (2, 2)})
+        inst = CspInstance(((1, 2, 3), (1, 2, 3, 4), (1, 2)),
+                           (fixed_value, split_halves, other_half, binary_only))
+        subs = split_to_binary(inst)
+        assert [s.domains for s in subs] == [((1, 2), (1, 2), (1, 2)),
+                                             ((1, 2), (3, 4), (1, 2)),
+                                             ((3,), (1, 2), (1, 2)),
+                                             ((3,), (3, 4), (1, 2))]
+        assert [s.constraints for s in subs] == [
+            (frozenset({(2, 1)}), frozenset({(0, 1)}), other_half, binary_only),
+            (frozenset({(2, 1)}), split_halves, frozenset({(2, 2)}), binary_only),
+            (frozenset(), other_half, binary_only),
+            (frozenset({(1, 3)}), frozenset({(2, 2)}), binary_only)]
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
