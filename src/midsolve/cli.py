@@ -19,7 +19,7 @@ from .analysis import (REFERENCE_WEIGHTS, WeightVector, audit_weights,
                        branching_factor, optimize_weights, recurrence_catalog)
 from .instances import (InstanceFormatError, gen_random, mark_random,
                         read_graph)
-from .lb_trace import leaf_growth, trace
+from .lb_trace import trace
 from .oracle import (OracleError, check_ids, exhaustive_mids,
                      mis_enumeration_mids)
 from .solver import PRUNED, SolverError, solve
@@ -127,16 +127,18 @@ def cmd_lbtrace(args) -> int:
     if not 3 <= args.l_min < args.l_max:
         print("error: need 3 <= L_MIN < L_MAX", file=sys.stderr)
         return EXIT_USAGE
+    leaves = []
     for l in range(args.l_min, args.l_max + 1):
         rep = trace(l)
+        leaves.append(rep.leaves)
         print(_record(cmd="lbtrace", l=l, nodes=rep.nodes, leaves=rep.leaves,
                       case9_only=rep.case9_only_above_4,
                       shapes_ok=rep.candidate_shapes_ok,
                       removals_ok=rep.child_removals_ok))
-    print("leaf growth:")
-    for l, leaves, ratio in leaf_growth(args.l_min, args.l_max):
-        print(f"  l={l:<3} leaves={leaves:<8} ratio={ratio:.4f}" if ratio
-              else f"  l={l:<3} leaves={leaves:<8} ratio=-")
+    print("leaf growth:")  # the rows ``leaf_growth`` gives, from the traced runs
+    for l, (prev, n) in enumerate(zip([None] + leaves, leaves), args.l_min):
+        ratio = f"{n / prev:.4f}" if prev else "-"
+        print(f"  l={l:<3} leaves={n:<8} ratio={ratio}")
     return EXIT_OK
 
 
@@ -250,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits 2 on usage errors
+    if args.command == "solve" and args.weights and not args.assert_mode:
+        parser.error("solve: --weights needs --assert (it only sets the measure check)")
     return args.func(args)
 
 

@@ -146,6 +146,8 @@ def solve_binary(inst: CspInstance) -> Optional[dict]:
 
     Chronological backtracking over variables in ascending order, values in
     domain order, with unit propagation on almost-falsified constraints.
+    The search is one loop over a stack of decisions, so the Python stack
+    does not grow with the number of variables.
     """
     for dom in inst.domains:
         if len(dom) > 2:
@@ -186,25 +188,29 @@ def solve_binary(inst: CspInstance) -> Optional[dict]:
                     changed = True
         return True
 
-    def backtrack() -> bool:
-        trail: list = []
-        if not propagate(trail):
-            for var in trail:
-                del assignment[var]
-            return False
-        var = next((i for i in range(n) if i not in assignment), None)
-        if var is None:
-            return True
-        for val in inst.domains[var]:
-            assignment[var] = val
-            if backtrack():
-                return True
-            del assignment[var]
-        for var_ in trail:
-            del assignment[var_]
-        return False
-
-    return dict(assignment) if backtrack() else None
+    # per decision: (variable, untried values, what propagation assigned
+    # after its current value); the root's propagation is never undone
+    decisions: list = []
+    trail: list = []
+    while True:
+        if propagate(trail):
+            var = next((i for i in range(n) if i not in assignment), None)
+            if var is None:
+                return dict(assignment)
+            decisions.append((var, iter(inst.domains[var]), []))
+        # undo the latest value and its propagation, then try the next value
+        while decisions:
+            var, values, trail = decisions[-1]
+            while trail:
+                del assignment[trail.pop()]
+            assignment.pop(var, None)
+            val = next(values, None)
+            if val is not None:
+                assignment[var] = val
+                break
+            decisions.pop()
+        else:
+            return None
 
 
 def solve_clique_union(g: MarkedGraph) -> Solution:

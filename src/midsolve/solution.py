@@ -48,10 +48,10 @@ class Solution:
 INFEASIBLE = Solution(None, None)
 
 
-def better(current: Optional[Solution], challenger: Solution) -> Solution:
+def better(current: Solution, challenger: Solution) -> Solution:
     """Minimum by size; infeasible is the identity.  Ties keep ``current``,
     so iterating branches in a fixed order yields a deterministic witness."""
-    if current is None or not current.feasible:
+    if not current.feasible:
         return challenger
     if challenger.feasible and challenger.size < current.size:
         return challenger

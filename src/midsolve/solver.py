@@ -1,7 +1,9 @@
 """Branch-and-reduce solver for minimum independent dominating sets on
 marked graphs.
 
-The recursion dispatches the first applicable rule of an ordered list of 18
+The search is one depth-first loop over an explicit stack of open nodes;
+it changes no process-global state, so several threads may solve at once.
+Each node dispatches the first applicable rule of an ordered list of 18
 cases; the terminal states are the empty graph, an undominatable marked
 vertex, and the clique-union endgame which is delegated to the CSP encoding.
 ``_dispatch`` picks the rule and the vertices it branches on, and
@@ -34,7 +36,6 @@ branching rules preserve it.
 from __future__ import annotations
 
 import math
-import sys
 from typing import AbstractSet, Callable, Optional, Union
 
 from . import csp
@@ -246,52 +247,6 @@ def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
         raise SolverError(f"{prefix}marked vertex {min(bad)} has F-degree > 4")
 
 
-class _Search:
-    def __init__(self, assert_mode: bool, weights: WeightVector,
-                 on_node: Optional[Callable], prune: bool):
-        self.stats = SearchStats()
-        self.assert_mode = assert_mode
-        self.weights = weights
-        self.on_node = on_node
-        self.prune = prune
-
-    def _solve(self, g: MarkedGraph, depth: int, ub: float) -> Solution:
-        """Best solution of g of size ``< ub``, or ``INFEASIBLE``.  Each
-        child only has to beat ``min(ub, best)`` less the vertices it
-        commits, where ``best`` is the best of its earlier siblings."""
-        stats = self.stats
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        case, x = _dispatch(g, ub)
-        stats.count(case)
-        if self.on_node is not None:
-            self.on_node(depth, g, case)
-        if self.assert_mode:
-            _check_marked_degrees(g)
-
-        if case in (EMPTY, 1, PRUNED, CSP_ENDGAME):
-            stats.leaves += 1
-            if case == EMPTY:
-                return Solution.found(0, ())
-            if case == CSP_ENDGAME:
-                return csp.solve_clique_union(g)
-            return INFEASIBLE
-
-        best = INFEASIBLE
-        for taken, child in _children(g, case, x):
-            if self.assert_mode:
-                if len(child.free) >= len(g.free):
-                    raise SolverError("child does not shrink the free vertex set")
-                if case != 5:  # forcing, not branching
-                    drop = measure(g, self.weights) - measure(child, self.weights)
-                    if drop <= 1e-12:
-                        raise SolverError(f"measure did not decrease (drop={drop})")
-            bound = min(ub, best.size) if self.prune and best.feasible else ub
-            best = better(best, self._solve(child, depth + 1,
-                                            bound - len(taken)).plus(taken))
-        return best
-
-
 def solve(g: MarkedGraph, *, assert_mode: bool = False,
           weights: WeightVector = REFERENCE_WEIGHTS,
           on_node: Optional[Callable] = None,
@@ -312,16 +267,50 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     the whole branch-and-reduce tree the paper analyses, with the same
     nodes, leaves, case counts and witness as before pruning existed.  Both
     modes return the same solution.
+
+    The search is one loop over an explicit stack, not a recursion: it
+    changes no process-global state, so several threads may solve at once.
     """
     _check_marked_degrees(g, "input contract violated: ")
-    needed = 60 * (len(g.free) + len(g.marked)) + 2000
-    old_limit = sys.getrecursionlimit()
-    if needed > old_limit:
-        sys.setrecursionlimit(needed)
-    try:
-        search = _Search(assert_mode, weights, on_node, prune)
-        sol = search._solve(g, 0, math.inf)
-    finally:
-        if needed > old_limit:
-            sys.setrecursionlimit(old_limit)
-    return sol, search.stats
+    stats = SearchStats()
+    # open nodes, root first: [graph, case, children, ub, best, current child's taken]
+    stack: list = []
+    node, ub = g, math.inf
+    while True:
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, len(stack))
+        case, x = _dispatch(node, ub)
+        stats.count(case)
+        if on_node is not None:
+            on_node(len(stack), node, case)
+        if assert_mode:
+            _check_marked_degrees(node)
+        if case in (EMPTY, 1, PRUNED, CSP_ENDGAME):
+            stats.leaves += 1
+            sol = (Solution.found(0, ()) if case == EMPTY else
+                   csp.solve_clique_union(node) if case == CSP_ENDGAME else INFEASIBLE)
+        else:  # handing INFEASIBLE to the node just opened keeps its best
+            stack.append([node, case, _children(node, case, x), ub, INFEASIBLE, ()])
+            sol = INFEASIBLE
+        # hand sol up, closing each node whose children are all solved
+        while stack:
+            frame = stack[-1]
+            parent, parent_case, children, parent_ub, best, taken = frame
+            best = frame[4] = better(best, sol.plus(taken))
+            taken, node = next(children, ((), None))
+            if node is not None:
+                break
+            stack.pop()
+            sol = best
+        else:
+            return sol, stats
+        if assert_mode:
+            if len(node.free) >= len(parent.free):
+                raise SolverError("child does not shrink the free vertex set")
+            if parent_case != 5:  # forcing, not branching
+                drop = measure(parent, weights) - measure(node, weights)
+                if drop <= 1e-12:
+                    raise SolverError(f"measure did not decrease (drop={drop})")
+        frame[5] = taken
+        bound = min(parent_ub, best.size) if prune and best.feasible else parent_ub
+        ub = bound - len(taken)

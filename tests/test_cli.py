@@ -53,8 +53,16 @@ class TestSolve:
         assert main(["solve", "--assert", instance_file(FEASIBLE)]) == EXIT_OK
 
     def test_custom_weights(self, instance_file):
-        rc = main(["solve", "--weights", "0.85,0.97", instance_file(FEASIBLE)])
+        rc = main(["solve", "--assert", "--weights", "0.85,0.97",
+                   instance_file(FEASIBLE)])
         assert rc == EXIT_OK
+
+    def test_weights_without_assert_usage_error(self, instance_file, capsys):
+        # the weights only feed the assert-mode measure check
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--weights", "0.85,0.97", instance_file(FEASIBLE)])
+        assert exc.value.code == EXIT_USAGE
+        assert "--assert" in capsys.readouterr().err
 
     def test_inadmissible_weights_usage_error(self, instance_file):
         with pytest.raises(SystemExit) as exc:

@@ -177,6 +177,11 @@ class TestSolveBinary:
                             frozenset({(1, 1), (2, 2)})))
         assert solve_binary(inst) == {0: 2, 1: 2, 2: 2}
 
+    def test_many_variables_under_default_recursion_limit(self):
+        # one decision per variable: a recursive search would need 1,500 frames
+        inst = CspInstance(((1,),) * 1500, ())
+        assert solve_binary(inst) == {i: 1 for i in range(1500)}
+
     def test_conflicting_units_unsat(self):
         inst = CspInstance(((1, 2),),
                            (frozenset({(0, 1)}), frozenset({(0, 2)})))

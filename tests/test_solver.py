@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +335,59 @@ class TestPruning:
         g = plain_graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)])
         assert solve(g)[1].case_counts == solve(g, prune=False)[1].case_counts \
             == {CSP_ENDGAME: 1}
+
+
+class TestExplicitStack:
+    def test_python_stack_does_not_grow_with_depth(self):
+        # 300 disjoint 3-vertex paths: one case-6 branching per path
+        g = plain_graph(range(900), [(v, v + 1) for v in range(900) if v % 3 != 2])
+        seen = set()
+
+        def on_node(depth, graph, case):
+            frames, f = 0, sys._getframe().f_back
+            while f is not None:
+                frames, f = frames + 1, f.f_back
+            seen.add((frames, sys.getrecursionlimit()))
+
+        limit = sys.getrecursionlimit()
+        sol, stats = solve(g, on_node=on_node)
+        assert sol.size == 300 and stats.max_depth == 300
+        assert len(seen) == 1 and seen.pop()[1] == limit
+
+    def test_two_threads_solve_at_once(self):
+        small = gen_random(16, 0.2, 1)
+        large = mark_random(gen_random(32, 0.15, 2), 0.2, 3)
+        sequential = [solve(small), solve(large)]
+        limit = sys.getrecursionlimit()
+        # The small solve starts first and holds at its root until the large
+        # one has started, and the large one holds at its root until the
+        # small one has returned: the two overlap in a fixed order.
+        small_started, large_started, small_done = (threading.Event()
+                                                     for _ in range(3))
+        results = [None, None]
+
+        def hold(started, wait_for):
+            def on_node(depth, graph, case):
+                if depth == 0:
+                    started.set()
+                    assert wait_for.wait(timeout=60)
+            return on_node
+
+        def run_small():
+            results[0] = solve(small, on_node=hold(small_started, large_started))
+            small_done.set()
+
+        def run_large():
+            assert small_started.wait(timeout=60)
+            results[1] = solve(large, on_node=hold(large_started, small_done))
+
+        threads = [threading.Thread(target=run_small),
+                   threading.Thread(target=run_large)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert [(sol, vars(stats)) for sol, stats in results] == \
+            [(sol, vars(stats)) for sol, stats in sequential]
+        assert sys.getrecursionlimit() == limit
