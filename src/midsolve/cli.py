@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, analyze, lbtrace, bench.  Exit codes: 0 found,
-2 usage or parse error, or an instance outside the solver's input contract
-(a marked vertex with more than 4 free neighbors), 3 infeasible.  With
-``--format records`` output is line-delimited ``mids.v1 key=value ...``
-records; wall-clock fields are the only nondeterministic columns and always
-carry the ``wall_ms`` key.
+1 a failed check (``solve --check`` rejects the witness, or the two
+reference routes of ``oracle`` disagree), 2 usage or parse error, or an
+instance outside the solver's input contract (a marked vertex with more
+than 4 free neighbors), 3 infeasible.  With ``--format records`` output is
+line-delimited ``mids.v1 key=value ...`` records; wall-clock fields are the
+only nondeterministic columns and always carry the ``wall_ms`` key.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .solver import PRUNED, SolverError, solve
 SCHEMA = "mids.v1"
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
@@ -80,7 +82,7 @@ def cmd_solve(args) -> int:
     if args.check and sol.feasible:
         if not check_ids(g, sol.witness):
             print("validation: FAILED", file=sys.stderr)
-            return 1
+            return EXIT_CHECK_FAILED
         print("validation: witness passes independent-domination check")
     return EXIT_OK if sol.feasible else EXIT_INFEASIBLE
 
@@ -102,7 +104,7 @@ def cmd_oracle(args) -> int:
         agree = mis.size == exh.size
     print(f"agreement: {'yes' if agree else 'NO'}")
     if not agree:
-        return 1
+        return EXIT_CHECK_FAILED
     return EXIT_OK if exh.feasible else EXIT_INFEASIBLE
 
 

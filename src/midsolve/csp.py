@@ -56,6 +56,16 @@ class CspInstance:
                 raise CspError(f"constraint scope {sorted(scope)} names a variable "
                                f"outside 0..{len(self.domains) - 1}")
 
+    @classmethod
+    def _build(cls, domains: tuple, constraints: tuple) -> "CspInstance":
+        """Internal constructor without the checks, for a restriction of an
+        instance already checked: its domains are non-empty parts of the
+        checked ones and its constraints subsets of the checked ones."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "domains", domains)
+        object.__setattr__(inst, "constraints", constraints)
+        return inst
+
     @property
     def n_vars(self) -> int:
         return len(self.domains)
@@ -131,9 +141,9 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
             domains[var] = part
         satisfied = {(var, part[0]) for var, part, _ in choice if len(part) == 1}
         ruled_out = set().union(*(dead for _, _, dead in choice))
-        out.append(CspInstance(tuple(domains),
-                               tuple(c - ruled_out for c in inst.constraints
-                                     if satisfied.isdisjoint(c))))
+        out.append(CspInstance._build(tuple(domains),
+                                      tuple(c - ruled_out for c in inst.constraints
+                                            if satisfied.isdisjoint(c))))
     return out
 
 

@@ -14,19 +14,27 @@ identifiers, so two runs on the same input produce identical search trees.
 
 Branch and bound.  Every free component holds at least one vertex of any
 independent dominating set: marked vertices never dominate, and a free
-vertex can only be dominated from inside its own free component.  So the
-number of free components is a lower bound on the size of every solution
-of a node, the same fact the clique-union endgame's "one vertex per clique"
-rests on.  Each node gets an exclusive upper bound ``ub`` and returns its
-best solution of size ``< ub``, or ``INFEASIBLE`` when there is none.  The
-root has ``ub = inf``; a child gets ``min(ub, best) - k``, where ``best`` is
-the size of the best solution its earlier siblings returned and ``k`` the
-number of vertices the child's branch commits.  A node whose lower bound is
-at least its ``ub`` is a leaf of case ``"pruned"``: it cannot beat a
-solution already found.  Since ties keep the earlier branch in both modes,
-pruning returns the same solution, witness included, as paper mode:
-``solve(g, prune=False)``, which keeps ``ub = inf`` throughout and runs the
-whole tree the paper analyses.  The lower-bound traces use paper mode.
+vertex can only be dominated from inside its own free component.  A
+component C needs more when it is large for its degrees: the solution
+vertices inside C must dominate C and the marked vertices whose free
+neighbors all lie in C, and each dominates at most its degree plus one of
+them.  ``_lower_bound`` sums these per-component bounds, so it is never
+below the number of free components.  Each node gets an exclusive upper
+bound ``ub`` and returns its best solution of size ``< ub``, or
+``INFEASIBLE`` when there is none.  The root has ``ub = k + 1``, where
+``k`` is the size of a greedy independent dominating set (``ub = inf``
+when the greedy choice leaves a marked vertex undominated); a child gets
+``min(ub, best) - j``, where ``best`` is the size of the best solution its
+earlier siblings returned and ``j`` the number of vertices the child's
+branch commits.  A node whose lower bound is at least its ``ub`` is a leaf
+of case ``"pruned"``: it cannot beat a solution already found.  The root
+is never cut, since its bound is at most the optimum, which is at most
+``k``.  Since ties keep the earlier branch in both modes, and the first
+optimum in search order has size below every ``ub`` on its path, pruning
+returns the same solution, witness included, as paper mode:
+``solve(g, prune=False)``, which keeps ``ub = inf`` throughout, computes
+no bound and runs the whole tree the paper analyses.  The lower-bound
+traces use paper mode.
 
 Input contract: every marked vertex has at most 4 free neighbors.  Entering
 from a plain graph (no marked vertices) satisfies this trivially, and the
@@ -41,6 +49,7 @@ from typing import AbstractSet, Callable, Optional, Union
 from . import csp
 from .analysis import REFERENCE_WEIGHTS, WeightVector, measure
 from .graph import MarkedGraph
+from .oracle import check_ids
 from .solution import INFEASIBLE, SearchStats, Solution, better
 
 CaseId = Union[int, str]
@@ -113,12 +122,41 @@ def case11_select(g: MarkedGraph, u: int) -> int:
     raise SolverError(f"no sparse-neighborhood vertex around {u}")  # unreachable in Case 11
 
 
+def _lower_bound(g: MarkedGraph, comps: list) -> int:
+    """Lower bound on the size of every independent dominating set of g:
+    the sum over the free components C of max(1, ceil((|C| + |M_C|) /
+    (Delta_C + 1))).
+
+    M_C is the set of marked vertices whose free neighbors all lie in C,
+    and Delta_C the largest degree, free and marked neighbors counted, of a
+    vertex of C.  Proof: let D be a solution.  Only free vertices dominate,
+    and every free neighbor of a vertex of C or of M_C lies in C, so the
+    vertices of D inside C dominate all of C and M_C.  Each of them
+    dominates itself and its neighbors, at most Delta_C + 1 vertices, so at
+    least (|C| + |M_C|) / (Delta_C + 1) of them lie in C, and at least one
+    since C is not empty.  The components are disjoint, so the terms add.
+    Every term is at least 1: the bound is never below the component count.
+    """
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    covered = [len(comp) for comp in comps]
+    for u in g.marked:
+        # a marked vertex has only free neighbors, at least one in a node
+        # that is not case 1
+        nbrs = g.neighbors(u)
+        i = comp_of[next(iter(nbrs))]
+        if nbrs <= comps[i]:
+            covered[i] += 1
+    return sum(max(1, -(-cov // (1 + max(len(g.neighbors(v)) for v in comp))))
+               for cov, comp in zip(covered, comps))
+
+
 def _dispatch(g: MarkedGraph, ub: float):
     """First applicable rule in listing order; returns (case, x) where ``x``
     is what ``_children`` reads to build the case's children.
 
-    Ahead of the rules, a node whose lower bound (its number of free
-    components) is at least the exclusive upper bound ``ub`` is PRUNED.
+    Ahead of the rules, a node whose lower bound (``_lower_bound``) is at
+    least the exclusive upper bound ``ub`` is PRUNED; with ``ub`` infinite
+    the bound is not computed.
     """
     if ub <= 0:
         return PRUNED, None
@@ -130,7 +168,7 @@ def _dispatch(g: MarkedGraph, ub: float):
         return 1, dead
 
     comps = g.free_components()
-    if len(comps) >= ub:
+    if ub < math.inf and _lower_bound(g, comps) >= ub:
         return PRUNED, None
     classes = [g.classify_component(c) for c in comps]
     if all(cl[0] == "clique" for cl in classes):
@@ -239,6 +277,27 @@ def _children(g: MarkedGraph, case: CaseId, x):
         raise SolverError(f"unhandled case {case}")  # pragma: no cover
 
 
+def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
+    """A greedy independent dominating set of g, or None when the greedy
+    choice leaves a marked vertex undominated.
+
+    It repeatedly takes the undominated free vertex that dominates the most
+    undominated vertices, the smallest identifier on ties; every free vertex
+    is then dominated, and the result is kept only if ``check_ids`` passes.
+    """
+    undominated = set(g.vertices)
+    order = sorted(g.free)
+    chosen = []
+    while True:
+        candidates = [v for v in order if v in undominated]
+        if not candidates:
+            break
+        v = max(candidates, key=lambda v: len(g.neighbors(v) & undominated))
+        chosen.append(v)
+        undominated -= g.neighbors(v) | {v}
+    return frozenset(chosen) if check_ids(g, chosen) else None
+
+
 def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
     """The input contract, also kept by every child: each marked vertex has
     at most 4 free neighbors."""
@@ -259,14 +318,16 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     ``on_node(depth, graph, case)`` is invoked on every node in DFS
     pre-order.
 
-    With ``prune`` (the default) the search is a branch and bound: a node
-    whose number of free components, a lower bound on its solution size
-    since each free component needs a vertex of its own, is at least the
-    best size found so far minus the vertices committed above it is cut and
-    counted as case ``"pruned"``.  ``prune=False`` is paper mode: it runs
-    the whole branch-and-reduce tree the paper analyses, with the same
-    nodes, leaves, case counts and witness as before pruning existed.  Both
-    modes return the same solution.
+    With ``prune`` (the default) the search is a branch and bound, seeded
+    with a greedy independent dominating set as its incumbent: a node whose
+    lower bound (``_lower_bound``: per free component, its vertices and the
+    marked vertices only it can dominate, divided by its largest degree
+    plus one) is at least the best size found so far minus the vertices
+    committed above it is cut and counted as case ``"pruned"``.  The root
+    is never cut.  ``prune=False`` is paper mode: it runs the whole
+    branch-and-reduce tree the paper analyses, with the same nodes, leaves,
+    case counts and witness as before pruning existed.  Both modes return
+    the same solution.
 
     The search is one loop over an explicit stack, not a recursion: it
     changes no process-global state, so several threads may solve at once.
@@ -275,7 +336,10 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     stats = SearchStats()
     # open nodes, root first: [graph, case, children, ub, best, current child's taken]
     stack: list = []
-    node, ub = g, math.inf
+    # an incumbent of size k lets the root look for solutions of size <= k:
+    # the first optimum in search order, paper mode's witness, is still found
+    incumbent = _greedy_ids(g) if prune else None
+    node, ub = g, math.inf if incumbent is None else len(incumbent) + 1
     while True:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, len(stack))

@@ -1,6 +1,7 @@
-"""Smoke test of the benchmark's traced run: one pass of the search-plain
-workload with every cross-module target wrapped by name, whose results the
-harness checks against its frozen answers."""
+"""Smoke tests of the benchmark: one pass of the search-plain workload with
+every cross-module target wrapped by name, and one untraced pass of the
+search-marked workload, whose results the harness checks against its
+frozen answers."""
 
 import json
 import subprocess
@@ -10,10 +11,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_search_plain_run_is_correct():
+def run_bench(workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "search-plain",
-         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_search_plain_run_is_correct():
+    assert run_bench("search-plain", 1)["correct"] is True
+
+
+def test_search_marked_run_is_correct():
+    # 40 marked instances: the marked-vertex term of the search's lower
+    # bound checked end to end against the frozen sizes, and every witness
+    # with check_ids
+    assert run_bench("search-marked", 0)["correct"] is True

@@ -1,7 +1,10 @@
 import pytest
 
-from midsolve.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, SCHEMA, main
+from midsolve import cli
+from midsolve.cli import (EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK,
+                          EXIT_USAGE, SCHEMA, main)
 from midsolve.instances import gen_lower_bound, write_graph
+from midsolve.solution import SearchStats, Solution
 
 
 @pytest.fixture
@@ -48,6 +51,14 @@ class TestSolve:
         rc = main(["solve", "--check", instance_file(FEASIBLE)])
         assert rc == EXIT_OK
         assert "validation: witness passes" in capsys.readouterr().out
+
+    def test_check_failure_exit_code(self, instance_file, capsys, monkeypatch):
+        # a witness that dominates nothing but itself fails the check
+        monkeypatch.setattr(cli, "solve",
+                            lambda g, **kw: (Solution.found(1, [1]), SearchStats()))
+        rc = main(["solve", "--check", instance_file(FEASIBLE)])
+        assert rc == EXIT_CHECK_FAILED
+        assert "validation: FAILED" in capsys.readouterr().err
 
     def test_assert_flag(self, instance_file):
         assert main(["solve", "--assert", instance_file(FEASIBLE)]) == EXIT_OK
@@ -129,6 +140,13 @@ class TestOracle:
 
     def test_infeasible_exit_code(self, instance_file):
         assert main(["oracle", instance_file(INFEASIBLE)]) == EXIT_INFEASIBLE
+
+    def test_disagreement_exit_code(self, instance_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mis_enumeration_mids",
+                            lambda g: Solution.found(3, [1, 2, 3]))
+        rc = main(["oracle", instance_file(FEASIBLE)])
+        assert rc == EXIT_CHECK_FAILED
+        assert "agreement: NO" in capsys.readouterr().out
 
     def test_too_large_for_oracle(self, instance_file, capsys):
         n = 30

@@ -12,8 +12,9 @@ from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
 from midsolve.solution import INFEASIBLE, better
 from midsolve.solver import (CSP_ENDGAME, EMPTY, PRUNED, SolverError,
-                             _children, _dispatch, case9_candidates,
-                             case11_select, dispatch_case, solve)
+                             _children, _dispatch, _greedy_ids, _lower_bound,
+                             case9_candidates, case11_select, dispatch_case,
+                             solve)
 
 
 def assert_matches_oracle(g):
@@ -107,14 +108,13 @@ class TestSolveBasics:
     # the same inputs with pruning on: the same witnesses from smaller trees
     PINNED_PRUNED_TREES = [
         (lambda: gen_random(20, 0.3, 7),
-         (66, 38, 7, {CSP_ENDGAME: 2, EMPTY: 3, PRUNED: 31, 1: 2, 5: 1, 6: 4,
-                      7: 1, 8: 10, 9: 10, 12: 2}, {6, 8, 12, 20})),
+         (33, 19, 4, {CSP_ENDGAME: 2, PRUNED: 16, 1: 1, 5: 1, 6: 1, 8: 7,
+                      9: 5}, {6, 8, 12, 20})),
         (lambda: mark_random(gen_random(30, 0.15, 3), 0.2, 3),
-         (70, 28, 7, {CSP_ENDGAME: 1, EMPTY: 1, PRUNED: 22, 1: 4, 5: 21, 6: 1,
-                      8: 14, 9: 5, 10: 1}, {8, 16, 19, 22, 23, 24, 30})),
+         (45, 18, 7, {CSP_ENDGAME: 1, EMPTY: 1, PRUNED: 14, 1: 2, 5: 13, 6: 1,
+                      8: 10, 9: 2, 10: 1}, {8, 16, 19, 22, 23, 24, 30})),
         (lambda: gen_lower_bound(8),
-         (52, 35, 5, {CSP_ENDGAME: 1, EMPTY: 2, PRUNED: 32, 9: 17},
-          {1, 4, 9, 14})),
+         (13, 9, 4, {EMPTY: 1, PRUNED: 8, 9: 4}, {1, 4, 9, 14})),
     ]
 
     @pytest.mark.parametrize("make, expected", PINNED_PRUNED_TREES,
@@ -301,16 +301,21 @@ def assert_pruning_exact(g):
     assert sol.size == exhaustive_mids(g).size
 
 
+def seeded_marked_graphs():
+    """The 500 seeded marked graphs of acceptance criterion 1."""
+    for seed in range(500):
+        n = 4 + seed % 5
+        yield mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
+                          0.25, seed + 10_000)
+
+
 class TestPruning:
     def test_connected_labeled_graphs(self):
         for g in connected_labeled_graphs(5):
             assert_pruning_exact(g)
 
     def test_seeded_marked_graphs(self):
-        for seed in range(500):
-            n = 4 + seed % 5
-            g = mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
-                            0.25, seed + 10_000)
+        for g in seeded_marked_graphs():
             assert_pruning_exact(g)
 
     @pytest.mark.parametrize("seed", range(100))
@@ -331,10 +336,67 @@ class TestPruning:
         assert stats.leaves == 4 and seen.count(PRUNED) == 3
 
     def test_root_is_never_pruned(self):
-        # ub is infinite at the root: a root endgame runs as in paper mode
+        # the root's lower bound is at most the optimum, which is at most
+        # the greedy incumbent, below the root's ub: a feasible root endgame
+        # runs as in paper mode
         g = plain_graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)])
         assert solve(g)[1].case_counts == solve(g, prune=False)[1].case_counts \
             == {CSP_ENDGAME: 1}
+        endgames = 0
+        for g in [*connected_labeled_graphs(5), *seeded_marked_graphs()]:
+            if dispatch_case(g) == CSP_ENDGAME and exhaustive_mids(g).feasible:
+                endgames += 1
+                sol, stats = solve(g)
+                assert sol.feasible and stats.case_counts == {CSP_ENDGAME: 1}
+        assert endgames > 100
+
+
+def lower_bound(g):
+    return _lower_bound(g, g.free_components())
+
+
+class TestLowerBound:
+    def test_at_most_the_optimum(self):
+        for g in [*connected_labeled_graphs(5), *seeded_marked_graphs()]:
+            if any(not g.neighbors(u) for u in g.marked):
+                continue  # case 1 is dispatched before the bound
+            ref = exhaustive_mids(g)
+            if ref.feasible:
+                assert lower_bound(g) <= ref.size, g
+
+    def test_exceeds_the_component_count(self):
+        # P7: one component of 7 vertices of degree <= 2, so ceil(7 / 3)
+        g = path(7)
+        assert len(g.free_components()) == 1
+        assert lower_bound(g) == exhaustive_mids(g).size == 3
+
+    def test_counts_marked_vertices_of_one_component(self):
+        # free path 0-1-2 with marked 3 on 0 and marked 4 on 2, so
+        # ceil((3 + 2) / (3 + 1)) with vertex 2 of degree 3; marked 5 reaches
+        # 2 and the free vertex 6 of another component, so it is in neither
+        # term, and {6} adds 1
+        g = from_edges([(0, 1), (1, 2), (0, 3), (2, 4), (2, 5), (5, 6)],
+                       marked=[3, 4, 5])
+        assert lower_bound(g) == 2 + 1
+        assert exhaustive_mids(g).size == 3
+
+
+class TestGreedyIncumbent:
+    def test_passes_check_ids_or_is_none(self):
+        found = 0
+        for g in [*connected_labeled_graphs(5), *seeded_marked_graphs()]:
+            incumbent = _greedy_ids(g)
+            if incumbent is not None:
+                found += 1
+                assert check_ids(g, incumbent)
+                assert len(incumbent) >= exhaustive_mids(g).size
+        assert found > 1000
+
+    def test_none_on_an_infeasible_marked_graph(self):
+        # marked 2 needs 0 and marked 3 needs 1, but 0 and 1 are adjacent
+        g = from_edges([(0, 1), (0, 2), (1, 3)], marked=[2, 3])
+        assert _greedy_ids(g) is None
+        assert solve(g)[0] == INFEASIBLE
 
 
 class TestExplicitStack:
