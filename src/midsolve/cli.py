@@ -55,10 +55,9 @@ def _fmt_witness(sol) -> str:
 
 def cmd_solve(args) -> int:
     g = _load(args.instance)
-    weights = args.weights if args.weights else REFERENCE_WEIGHTS
     start = time.perf_counter()
     try:
-        sol, stats = solve(g, assert_mode=args.assert_mode, weights=weights)
+        sol, stats = solve(g, assert_mode=args.assert_mode)
     except SolverError as exc:
         print(f"error: {args.instance}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-validate the witness")
     p_solve.add_argument("--assert", dest="assert_mode", action="store_true",
                          help="enable per-node invariant checks")
-    p_solve.add_argument("--weights", type=_parse_weights, default=None)
     p_solve.add_argument("--format", choices=("text", "records"), default="text")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -252,10 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)  # argparse exits 2 on usage errors
-    if args.command == "solve" and args.weights and not args.assert_mode:
-        parser.error("solve: --weights needs --assert (it only sets the measure check)")
+    args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     return args.func(args)
 
 

@@ -6,9 +6,9 @@ it changes no process-global state, so several threads may solve at once.
 Each node dispatches the first applicable rule of an ordered list of 18
 cases; the terminal states are the empty graph, an undominatable marked
 vertex, and the clique-union endgame which is delegated to the CSP encoding.
-``_dispatch`` picks the rule and the vertices it branches on, and
-``_children`` is the one place where a rule's children are built, one at a
-time in search order, as the vertices each commits and the instance left.
+``_dispatch`` picks the rule and states its children once, in search
+order, as the vertices each commits to the solution, marks or deletes;
+``_children`` builds them one at a time as the search asks for them.
 All tie-breaks (rule candidates, neighbor orderings) use ascending vertex
 identifiers, so two runs on the same input produce identical search trees.
 
@@ -44,10 +44,10 @@ branching rules preserve it.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from . import csp
-from .analysis import REFERENCE_WEIGHTS, WeightVector, measure
+from .analysis import measure
 from .graph import MarkedGraph
 from .oracle import check_ids
 from .solution import INFEASIBLE, SearchStats, Solution, better
@@ -57,6 +57,8 @@ CaseId = Union[int, str]
 CSP_ENDGAME: CaseId = "csp_endgame"
 EMPTY: CaseId = "empty"
 PRUNED: CaseId = "pruned"
+
+_NONE: frozenset = frozenset()
 
 
 class SolverError(ValueError):
@@ -96,28 +98,29 @@ def case9_candidates(g: MarkedGraph) -> list[int]:
 
 def _find_case7_triangle(g: MarkedGraph, deg: dict) -> Optional[int]:
     """First free triangle (lexicographic vertex triple) with exactly one
-    vertex of F-degree >= 3; returns that vertex."""
-    free_sorted = sorted(g.free)
-    for a in free_sorted:
-        na = sorted(v for v in g.free_neighbors(a) if v > a)
-        for i, b in enumerate(na):
-            nb = g.free_neighbors(b)
-            for c in na[i + 1:]:
-                if c not in nb:
-                    continue
-                big = [v for v in (a, b, c) if deg[v] >= 3]
-                if len(big) == 1:
-                    return big[0]
-    return None
+    vertex of F-degree >= 3; returns that vertex.
+
+    The other two vertices of such a triangle have F-degree exactly 2, so
+    the scan runs over the F-degree-2 vertices x only: x qualifies when its
+    two free neighbors are adjacent and exactly one of them is big.
+    """
+    best = None
+    for x in g.free:
+        if deg[x] != 2:
+            continue
+        y, z = g.free_neighbors(x)
+        if z in g.neighbors(y) and (deg[y] >= 3) != (deg[z] >= 3):
+            triple = sorted((x, y, z))
+            if best is None or triple < best[0]:
+                best = triple, y if deg[y] >= 3 else z
+    return None if best is None else best[1]
 
 
 def case11_select(g: MarkedGraph, u: int) -> int:
     """Vertex of N_F[u] whose free neighborhood spans at most one edge."""
     for v in sorted(g.free_neighbors(u) | {u}):
-        nf = sorted(g.free_neighbors(v))
-        span = sum(1 for i in range(len(nf)) for j in range(i + 1, len(nf))
-                   if nf[j] in g.neighbors(nf[i]))
-        if span <= 1:
+        nf = g.free_neighbors(v)
+        if sum(len(g.neighbors(w) & nf) for w in nf) // 2 <= 1:
             return v
     raise SolverError(f"no sparse-neighborhood vertex around {u}")  # unreachable in Case 11
 
@@ -150,74 +153,101 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
                for cov, comp in zip(covered, comps))
 
 
-def _dispatch(g: MarkedGraph, ub: float):
-    """First applicable rule in listing order; returns (case, x) where ``x``
-    is what ``_children`` reads to build the case's children.
+def _branch_all(g: MarkedGraph, x: int) -> list:
+    """x or one of its free neighbors joins the solution."""
+    return [({v}, _NONE, _NONE) for v in [x] + sorted(g.free_neighbors(x))]
 
-    Ahead of the rules, a node whose lower bound (``_lower_bound``) is at
-    least the exclusive upper bound ``ub`` is PRUNED; with ``ub`` infinite
-    the bound is not computed.
+
+def _branch_mark(u: int, nbrs: list) -> list:
+    """u or one of its free neighbors nbrs joins the solution, in that order;
+    the neighbors tried before are marked."""
+    return [({u}, _NONE, _NONE)] + [({v}, frozenset(nbrs[:i]), _NONE)
+                                    for i, v in enumerate(nbrs)]
+
+
+def _branch_one(x: int) -> list:
+    """x joins the solution, or it is marked."""
+    return [({x}, _NONE, _NONE), (_NONE, {x}, _NONE)]
+
+
+def _branch_delete(x: int) -> list:
+    """x joins the solution, or it is deleted but not marked: a clique in
+    its neighborhood guarantees a dominator in every child solution."""
+    return [({x}, _NONE, _NONE), (_NONE, _NONE, {x})]
+
+
+def _dispatch(g: MarkedGraph, ub: float):
+    """First applicable rule in listing order; returns (case, branches).
+
+    ``branches`` lists the rule's children in search order as triples
+    ``(take, mark, drop)``: the free vertices the child commits to the
+    solution, and those it marks or deletes; a leaf has none.  Ahead of the
+    rules, a node whose lower bound (``_lower_bound``) is at least the
+    exclusive upper bound ``ub`` is PRUNED; with ``ub`` infinite the bound
+    is not computed.
     """
     if ub <= 0:
-        return PRUNED, None
+        return PRUNED, ()
     if not g.free and not g.marked:
-        return EMPTY, None
+        return EMPTY, ()
     deg = g.f_degrees()
-    dead = min((u for u in g.marked if deg[u] == 0), default=None)
-    if dead is not None:
-        return 1, dead
+    if any(deg[u] == 0 for u in g.marked):
+        return 1, ()
 
     comps = g.free_components()
     if ub < math.inf and _lower_bound(g, comps) >= ub:
-        return PRUNED, None
+        return PRUNED, ()
     classes = [g.classify_component(c) for c in comps]
     if all(cl[0] == "clique" for cl in classes):
         u5 = min((u for u in g.free if deg[u] >= 5), default=None)
         if u5 is not None:
-            return 2, u5
+            return 2, _branch_all(g, u5)
         u4 = min((u for u in g.free if deg[u] == 4), default=None)
         if u4 is not None:
-            return 3, u4
-        return CSP_ENDGAME, None
+            return 3, _branch_one(u4)
+        return CSP_ENDGAME, ()
 
     m1 = min((u for u in g.marked if deg[u] == 1), default=None)
     if m1 is not None:
-        return 5, min(g.free_neighbors(m1))
+        # the only free neighbor of a marked vertex is forced
+        return 5, [(g.free_neighbors(m1), _NONE, _NONE)]
 
     for comp, cl in zip(comps, classes):
         if cl[0] == "complete_bipartite" and len(comp) > 2:
-            return 6, (cl[1], cl[2])
+            # one side joins the solution
+            return 6, [(cl[1], _NONE, _NONE), (cl[2], _NONE, _NONE)]
 
     v7 = _find_case7_triangle(g, deg)
     if v7 is not None:
-        return 7, v7
+        return 7, _branch_delete(v7)
 
     u = _branch_candidates(g, comps, classes, deg)[0]
     d = deg[u]
     nbrs = sorted(g.free_neighbors(u), key=lambda v: (deg[v], v))
     if d == 1:
-        return 8, u
+        return 8, _branch_all(g, u)
     if d == 2:
         if deg[nbrs[0]] <= 4:
-            return 9, (u, nbrs)
-        return 10, u
+            return 9, _branch_mark(u, nbrs)
+        return 10, _branch_all(g, u)
     if d == 3:
         if all(deg[v] == 3 for v in nbrs):
-            return 11, case11_select(g, u)
+            return 11, _branch_one(case11_select(g, u))
         v4 = min((v for v in nbrs if deg[v] == 4), default=None)
         if v4 is not None:
-            return 12, v4
+            return 12, _branch_one(v4)
         v5 = min((v for v in nbrs if deg[v] == 5), default=None)
         if v5 is not None:
-            return 13, (u, v5)
+            return 13, [({u}, _NONE, _NONE), ({v5}, _NONE, _NONE),
+                        (_NONE, {u, v5}, _NONE)]
         if sum(1 for v in nbrs if deg[v] == 3) >= 2:
             if g.is_clique(g.free_neighbors(u)):
-                return 14, min(nbrs, key=lambda v: (-deg[v], v))
-            return 15, (u, nbrs)
-        return 16, u
+                return 14, _branch_delete(min(nbrs, key=lambda v: (-deg[v], v)))
+            return 15, _branch_mark(u, nbrs)
+        return 16, _branch_all(g, u)
     if d == 4:
-        return 17, u
-    return 18, u
+        return 17, _branch_one(u)
+    return 18, _branch_all(g, u)
 
 
 def dispatch_case(g: MarkedGraph) -> CaseId:
@@ -225,56 +255,16 @@ def dispatch_case(g: MarkedGraph) -> CaseId:
     return _dispatch(g, math.inf)[0]
 
 
-# ---------------------------------------------------------------------------
-# Children
-
-
-def _take(g: MarkedGraph, vs: AbstractSet[int]) -> MarkedGraph:
-    """Instance after committing the free vertices vs: N[vs] leaves the graph."""
-    nbrs = frozenset().union(*(g.neighbors(v) for v in vs))
-    return g.induced(g.free - nbrs - vs, g.marked - nbrs)
-
-
-def _children(g: MarkedGraph, case: CaseId, x):
+def _children(g: MarkedGraph, branches):
     """The children of a branching node in search order, each built only
-    when it is asked for: pairs ``(taken, child)`` of the vertices the
-    branch commits and the instance left to solve.  ``x`` is what
-    ``_dispatch`` returned with ``case``."""
-    if case in (2, 8, 10, 16, 18):
-        # x or one of its free neighbors joins the solution
-        for v in [x] + sorted(g.free_neighbors(x)):
-            yield {v}, _take(g, {v})
-    elif case in (9, 15):
-        # the same, marking the neighbors tried before (ordered by F-degree)
-        u, nbrs = x
-        yield {u}, _take(g, {u})
-        for i, v in enumerate(nbrs):
-            earlier = frozenset(nbrs[:i])
-            yield {v}, g.induced(g.free - g.neighbors(v) - {v} - earlier,
-                                 (g.marked | earlier) - g.neighbors(v))
-    elif case in (3, 11, 12, 17):
-        # take x or mark it
-        yield {x}, _take(g, {x})
-        yield (), g.induced(g.free - {x}, g.marked | {x})
-    elif case == 5:
-        # x is the only free neighbor of a marked vertex
-        yield {x}, _take(g, {x})
-    elif case == 6:
-        # one side of a complete bipartite component
-        for side in x:
-            yield side, _take(g, side)
-    elif case in (7, 14):
-        yield {x}, _take(g, {x})
-        # x is deleted but not marked: a clique in its neighborhood
-        # guarantees a dominator in every child solution
-        yield (), g.induced(g.free - {x}, g.marked)
-    elif case == 13:
-        u, v = x
-        yield {u}, _take(g, {u})
-        yield {v}, _take(g, {v})
-        yield (), g.induced(g.free - {u, v}, g.marked | {u, v})
-    else:
-        raise SolverError(f"unhandled case {case}")  # pragma: no cover
+    when it is asked for: pairs ``(take, child)`` of the vertices the branch
+    commits and the instance left to solve, for each ``(take, mark, drop)``
+    of ``branches``.  N[take] leaves the graph, and the marked and deleted
+    vertices leave the free set."""
+    for take, mark, drop in branches:
+        nbrs = frozenset().union(*map(g.neighbors, take))
+        yield take, g.induced(g.free - nbrs - take - mark - drop,
+                              (g.marked | mark) - nbrs)
 
 
 def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
@@ -307,7 +297,6 @@ def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
 
 
 def solve(g: MarkedGraph, *, assert_mode: bool = False,
-          weights: WeightVector = REFERENCE_WEIGHTS,
           on_node: Optional[Callable] = None,
           prune: bool = True) -> tuple[Solution, SearchStats]:
     """Minimum independent dominating set of a marked graph.
@@ -343,7 +332,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     while True:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, len(stack))
-        case, x = _dispatch(node, ub)
+        case, branches = _dispatch(node, ub)
         stats.count(case)
         if on_node is not None:
             on_node(len(stack), node, case)
@@ -354,7 +343,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
             sol = (Solution.found(0, ()) if case == EMPTY else
                    csp.solve_clique_union(node) if case == CSP_ENDGAME else INFEASIBLE)
         else:  # handing INFEASIBLE to the node just opened keeps its best
-            stack.append([node, case, _children(node, case, x), ub, INFEASIBLE, ()])
+            stack.append([node, case, _children(node, branches), ub, INFEASIBLE, ()])
             sol = INFEASIBLE
         # hand sol up, closing each node whose children are all solved
         while stack:
@@ -372,7 +361,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
             if len(node.free) >= len(parent.free):
                 raise SolverError("child does not shrink the free vertex set")
             if parent_case != 5:  # forcing, not branching
-                drop = measure(parent, weights) - measure(node, weights)
+                drop = measure(parent) - measure(node)
                 if drop <= 1e-12:
                     raise SolverError(f"measure did not decrease (drop={drop})")
         frame[5] = taken

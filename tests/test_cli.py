@@ -63,28 +63,6 @@ class TestSolve:
     def test_assert_flag(self, instance_file):
         assert main(["solve", "--assert", instance_file(FEASIBLE)]) == EXIT_OK
 
-    def test_custom_weights(self, instance_file):
-        rc = main(["solve", "--assert", "--weights", "0.85,0.97",
-                   instance_file(FEASIBLE)])
-        assert rc == EXIT_OK
-
-    def test_weights_without_assert_usage_error(self, instance_file, capsys):
-        # the weights only feed the assert-mode measure check
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--weights", "0.85,0.97", instance_file(FEASIBLE)])
-        assert exc.value.code == EXIT_USAGE
-        assert "--assert" in capsys.readouterr().err
-
-    def test_inadmissible_weights_usage_error(self, instance_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--weights", "0.4,0.9", instance_file(FEASIBLE)])
-        assert exc.value.code == EXIT_USAGE
-
-    def test_malformed_weights_usage_error(self, instance_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--weights", "nope", instance_file(FEASIBLE)])
-        assert exc.value.code == EXIT_USAGE
-
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(tmp_path / "absent.mids")])
@@ -170,6 +148,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "weights: w1=1.0 w2=1.0" in out
+
+    def test_inadmissible_weights_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--weights", "0.4,0.9"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_malformed_weights_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--weights", "nope"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_optimize(self, capsys):
         rc = main(["analyze", "--optimize"])

@@ -1,6 +1,8 @@
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,10 @@ from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
 from midsolve.solution import INFEASIBLE, better
 from midsolve.solver import (CSP_ENDGAME, EMPTY, PRUNED, SolverError,
-                             _children, _dispatch, _greedy_ids, _lower_bound,
-                             case9_candidates, case11_select, dispatch_case,
-                             solve)
+                             _branch_all, _branch_mark, _branch_one,
+                             _children, _dispatch, _find_case7_triangle,
+                             _greedy_ids, _lower_bound, case9_candidates,
+                             case11_select, dispatch_case, solve)
 
 
 def assert_matches_oracle(g):
@@ -28,11 +31,14 @@ def assert_matches_oracle(g):
     return sol, stats
 
 
-def best_of_children(g, case, x):
+EXPECTED_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def best_of_children(g, branches):
     """The children of one rule, each solved on its own: the best solution
     plus the vertices its branch commits."""
     best = INFEASIBLE
-    for taken, child in _children(g, case, x):
+    for taken, child in _children(g, branches):
         best = better(best, solve(child)[0].plus(taken))
     return best
 
@@ -124,6 +130,22 @@ class TestSolveBasics:
         assert (stats.nodes, stats.leaves, stats.max_depth,
                 stats.case_counts, sol.witness) == expected
 
+    def test_benchmark_pool_trees(self):
+        # the marked benchmark pool members with at most 1,200 nodes, against
+        # the paper-mode trees frozen in the benchmark's expected answers
+        frozen = json.loads(EXPECTED_PATH.read_text())["instances"]
+        pool = [(int(key.rsplit("/", 1)[1]), want)
+                for key, want in frozen.items()
+                if key.startswith("marked-n40-p0.15-f0.2/") and want["nodes"] <= 1200]
+        assert len(pool) == 17
+        for seed, want in pool:
+            g = mark_random(gen_random(40, 0.15, seed), 0.2, seed)
+            paper, stats = solve(g, prune=False)
+            witness = sorted(paper.witness) if paper.feasible else None
+            assert (stats.nodes, stats.leaves, paper.size, witness) == \
+                (want["nodes"], want["leaves"], want["size"], want["witness"]), seed
+            assert solve(g)[0] == paper, seed
+
 
 class TestDispatch:
     def test_lower_bound_family_is_case9(self):
@@ -185,21 +207,22 @@ class TestDispatch:
 class TestBranchingProcedures:
     def test_branch_all_isolated_vertex(self):
         g = plain_graph(range(3), [(1, 2)])  # 0 isolated
-        sol = best_of_children(g, 8, 0)
+        sol = best_of_children(g, _branch_all(g, 0))
         assert sol.size == 2 and 0 in sol.witness
 
     def test_branch_all_triangle(self):
-        assert best_of_children(complete(3), 8, 0).size == 1
+        g = complete(3)
+        assert best_of_children(g, _branch_all(g, 0)).size == 1
 
     def test_branch_all_star_degree5(self):
         g = star(5)
         assert exhaustive_mids(g).size == 1
-        sol = best_of_children(g, 2, 0)
+        sol = best_of_children(g, _branch_all(g, 0))
         assert sol.size == 1 and sol.witness == {0}
 
     def test_branch_mark_c6(self):
         g = cycle(6)
-        sol = best_of_children(g, 9, (0, [1, 5]))
+        sol = best_of_children(g, _branch_mark(0, [1, 5]))
         assert sol.size == 2
         assert check_ids(g, sol.witness)
 
@@ -207,15 +230,16 @@ class TestBranchingProcedures:
         # degree-2 vertex 0 with nonadjacent neighbors 1 and 2: the third
         # subinstance must carry 1 as a marked vertex
         g = plain_graph(range(5), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
-        assert _dispatch(g, math.inf) == (9, (0, [1, 2]))
-        children = list(_children(g, 9, (0, [1, 2])))
+        branches = _branch_mark(0, [1, 2])
+        assert _dispatch(g, math.inf) == (9, branches)
+        children = list(_children(g, branches))
         assert [taken for taken, _ in children] == [{0}, {1}, {2}]
         third = children[2][1]
         assert third.marked == {1} and third.free == {3}
-        assert best_of_children(g, 9, (0, [1, 2])).size == solve(g)[0].size
+        assert best_of_children(g, branches).size == solve(g)[0].size
 
     def test_branch_one_k5(self):
-        assert best_of_children(complete(5), 3, 0).size == 1
+        assert best_of_children(complete(5), _branch_one(0)).size == 1
 
     # one graph per branching rule, with the rule the dispatch picks for it
     RULE_GRAPHS = {
@@ -231,11 +255,51 @@ class TestBranchingProcedures:
         # every rule's children, each solved on its own, hold an optimal
         # solution: the best of them plus its committed vertices
         g = self.RULE_GRAPHS[case]
-        got, x = _dispatch(g, math.inf)
+        got, branches = _dispatch(g, math.inf)
         assert got == case
-        sol = best_of_children(g, case, x)
+        sol = best_of_children(g, branches)
         assert sol.size == exhaustive_mids(g).size
         assert check_ids(g, sol.witness)
+
+
+def lexicographic_case7_triangle(g, deg):
+    """Reference scan: the first free triangle in lexicographic order of
+    its vertex triple with exactly one vertex of F-degree >= 3."""
+    for a in sorted(g.free):
+        na = sorted(v for v in g.free_neighbors(a) if v > a)
+        for i, b in enumerate(na):
+            for c in na[i + 1:]:
+                if c in g.free_neighbors(b):
+                    big = [v for v in (a, b, c) if deg[v] >= 3]
+                    if len(big) == 1:
+                        return big[0]
+    return None
+
+
+class TestCase7Triangle:
+    def test_matches_the_lexicographic_scan(self):
+        found = 0
+        graphs = [*connected_labeled_graphs(5), *seeded_marked_graphs(),
+                  *(gen_random(n, 0.1 + (n % 4) * 0.05, n) for n in range(20, 41))]
+        for g in graphs:
+            deg = g.f_degrees()
+            want = lexicographic_case7_triangle(g, deg)
+            assert _find_case7_triangle(g, deg) == want, g
+            found += want is not None
+        assert found > 50
+
+    @pytest.mark.parametrize("edges, big", [
+        # (0, 5, 9) with big 9 comes before (1, 2, 3) with big 1
+        ([(0, 5), (0, 9), (5, 9), (9, 7), (1, 2), (1, 3), (2, 3), (1, 8)], 9),
+        # (0, 5, 6) with big 0 comes before (1, 2, 9), whose small vertex 1
+        # is the smallest F-degree-2 vertex
+        ([(0, 5), (0, 6), (5, 6), (0, 7), (1, 2), (1, 9), (2, 9), (9, 8)], 0),
+    ])
+    def test_smallest_triple_wins(self, edges, big):
+        g = from_edges(edges)
+        assert lexicographic_case7_triangle(g, g.f_degrees()) == big
+        case, branches = _dispatch(g, math.inf)
+        assert case == 7 and branches[0][0] == {big}
 
 
 class TestCase11Select:
