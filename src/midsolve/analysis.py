@@ -67,17 +67,18 @@ class Recurrence:
         return [a * w.w1 + b * w.w2 + c * 1.0 for a, b, c in self.branches]
 
 
-def measure(g, w: WeightVector = REFERENCE_WEIGHTS) -> float:
-    """Weight sum over the free vertices; marked vertices contribute 0."""
-    return sum(w.for_degree(g.f_degree(v)) for v in g.free)
+def measure(g) -> float:
+    """Weight sum over the free vertices under the reference weights; marked
+    vertices contribute 0."""
+    return sum(REFERENCE_WEIGHTS.for_degree(g.f_degree(v)) for v in g.free)
 
 
 # ---------------------------------------------------------------------------
 # Branching factors
 
 
-def branching_factor(r: Recurrence, w: WeightVector, tol: float = 1e-9) -> float:
-    """The unique tau > 1 with sum(tau**-delta) == 1.
+def branching_factor(r: Recurrence, w: WeightVector) -> float:
+    """The unique tau > 1 with sum(tau**-delta) == 1, to within 1e-9.
 
     All deltas must be strictly positive.  The left side is strictly
     decreasing in tau, so bisection on [1, 64] is safe.
@@ -93,7 +94,7 @@ def branching_factor(r: Recurrence, w: WeightVector, tol: float = 1e-9) -> float
     if len(deltas) == 1:
         return 1.0
     lo, hi = 1.0 + 1e-12, 64.0
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = (lo + hi) / 2
         if sum(mid ** -d for d in deltas) > 1.0:
             lo = mid
@@ -181,21 +182,3 @@ def optimize_weights(catalog: Optional[Sequence[Recurrence]] = None,
         raise AnalysisError("no admissible weight vector found")
     return best_w
 
-
-# ---------------------------------------------------------------------------
-# Lower-bound leaf recurrence
-
-
-def lb_recurrence_predict(k: int, base: Sequence[int] = (1, 1, 1, 1, 1)) -> int:
-    """Value of L[k] = L[k-3] + L[k-4] + L[k-5] with caller-supplied
-    L[0..4]; the ratio L[k]/L[k-1] tends to LB_GROWTH_RATE."""
-    if len(base) != 5:
-        raise AnalysisError("need exactly the five base values L[0..4]")
-    if k < 0:
-        raise AnalysisError("k must be nonnegative")
-    vals = list(base)
-    if k < 5:
-        return vals[k]
-    for i in range(5, k + 1):
-        vals.append(vals[i - 3] + vals[i - 4] + vals[i - 5])
-    return vals[k]

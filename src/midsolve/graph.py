@@ -111,13 +111,20 @@ class MarkedGraph:
         missing = kept - self.vertices
         if missing:
             raise GraphError(f"unknown vertices {sorted(missing)} in induced subgraph")
-        adj = {}
-        for v in kept:
-            ns = self._adj[v] & kept
-            if v in t:
-                ns = ns - t
-            adj[v] = ns
-        return MarkedGraph._build(s, t, {v: frozenset(ns) for v, ns in adj.items()})
+        return MarkedGraph._build(
+            s, t, {v: self._adj[v] & (kept if v in s else s) for v in kept})
+
+    def _reach(self, start: int) -> frozenset:
+        """Free vertices reachable from the free vertex start through free
+        vertices: its free component."""
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for w in self._adj[frontier.pop()] & self.free:
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        return frozenset(comp)
 
     def free_components(self) -> list[frozenset]:
         """Connected components of the subgraph induced by the free vertices.
@@ -127,18 +134,9 @@ class MarkedGraph:
         seen: set[int] = set()
         comps = []
         for start in sorted(self.free):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in self._adj[v] & self.free:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if start not in seen:
+                comps.append(self._reach(start))
+                seen |= comps[-1]
         return comps
 
     def classify_component(self, comp: Iterable[int]):
@@ -149,36 +147,22 @@ class MarkedGraph:
         the smaller side (ties broken by smallest vertex), or ``("other",)``.
         Sizes 1 and 2 always classify as cliques.  Raises ``GraphError``
         unless ``comp`` is exactly one free component.
+
+        The free neighbors of a component's vertices lie in the component,
+        so it is a clique when each vertex has ``|C| - 1`` of them.  Else
+        take v0 = min(C), Y = N_F(v0) and X = C - Y: C is complete
+        bipartite exactly when every vertex of X has free neighborhood Y and
+        every vertex of Y has free neighborhood X.
         """
         b = frozenset(comp)
-        if not b or not b <= self.free:
+        if not b or not b <= self.free or self._reach(min(b)) != b:
             raise GraphError(f"{sorted(b)} is not a free component")
-        # one BFS over the free vertices reaches exactly b iff b is a free
-        # component; it also records free-degrees and 2-colors b, and a
-        # connected bipartite graph has a unique bipartition
-        free_deg = {}
-        color = {min(b): 0}
-        frontier = [min(b)]
-        bipartite = True
-        while frontier:
-            v = frontier.pop()
-            nbrs = self._adj[v] & self.free
-            free_deg[v] = len(nbrs)
-            for w in nbrs:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    frontier.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-        if color.keys() != b:
-            raise GraphError(f"{sorted(b)} is not a free component")
-        if all(d == len(b) - 1 for d in free_deg.values()):
+        nbrs = {v: self._adj[v] & self.free for v in b}
+        if all(len(ns) == len(b) - 1 for ns in nbrs.values()):
             return ("clique", len(b))
-        if not bipartite:
-            return ("other",)
-        x = frozenset(v for v in b if color[v] == 0)
-        y = b - x
-        if all(free_deg[v] == len(y if v in x else x) for v in b):
+        y = nbrs[min(b)]
+        x = b - y
+        if all(ns == (y if v in x else x) for v, ns in nbrs.items()):
             if (len(y), min(y)) < (len(x), min(x)):
                 x, y = y, x
             return ("complete_bipartite", x, y)

@@ -69,17 +69,23 @@ class SolverError(ValueError):
 # Case dispatch
 
 
-def _branch_candidates(g: MarkedGraph, comps: list, classes: list,
-                       deg: dict) -> list[int]:
-    """Vertex selection for Cases (8)-(18) from the node's free components,
-    their classes and F-degrees: all tied vertices, ascending.
+def _non_cliques(comps: list, deg: dict) -> list:
+    """The free components that are not cliques.  A free vertex has all its
+    free neighbors in its own component, so a component C is a clique
+    exactly when each of its vertices has F-degree |C| - 1."""
+    return [c for c in comps if any(deg[v] != len(c) - 1 for v in c)]
 
-    (a) skip vertices whose free component is a clique, (b) minimum
-    F-degree, (c) prefer vertices with a free neighbor of maximum F-degree;
-    the branch vertex is the first (smallest identifier).
+
+def _branch_candidates(g: MarkedGraph, others: list, deg: dict) -> list[int]:
+    """Vertex selection for Cases (8)-(18) from the node's free components
+    that are not cliques and its F-degrees: all tied vertices, ascending.
+
+    (a) skip vertices whose free component is a clique (the caller passes
+    only the others), (b) minimum F-degree, (c) prefer vertices with a free
+    neighbor of maximum F-degree; the branch vertex is the first (smallest
+    identifier).
     """
-    eligible = frozenset().union(
-        *(c for c, cl in zip(comps, classes) if cl[0] != "clique"))
+    eligible = frozenset().union(*others)
     if not eligible:
         return []
     dmin = min(deg[v] for v in eligible)
@@ -91,9 +97,8 @@ def _branch_candidates(g: MarkedGraph, comps: list, classes: list,
 
 def case9_candidates(g: MarkedGraph) -> list[int]:
     """All vertices tied under criteria (a)-(c), ascending by identifier."""
-    comps = g.free_components()
-    return _branch_candidates(g, comps, [g.classify_component(c) for c in comps],
-                              g.f_degrees())
+    deg = g.f_degrees()
+    return _branch_candidates(g, _non_cliques(g.free_components(), deg), deg)
 
 
 def _find_case7_triangle(g: MarkedGraph, deg: dict) -> Optional[int]:
@@ -149,7 +154,7 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
         i = comp_of[next(iter(nbrs))]
         if nbrs <= comps[i]:
             covered[i] += 1
-    return sum(max(1, -(-cov // (1 + max(len(g.neighbors(v)) for v in comp))))
+    return sum(max(1, -(-cov // (1 + max(map(len, map(g.neighbors, comp))))))
                for cov, comp in zip(covered, comps))
 
 
@@ -197,8 +202,8 @@ def _dispatch(g: MarkedGraph, ub: float):
     comps = g.free_components()
     if ub < math.inf and _lower_bound(g, comps) >= ub:
         return PRUNED, ()
-    classes = [g.classify_component(c) for c in comps]
-    if all(cl[0] == "clique" for cl in classes):
+    others = _non_cliques(comps, deg)
+    if not others:
         u5 = min((u for u in g.free if deg[u] >= 5), default=None)
         if u5 is not None:
             return 2, _branch_all(g, u5)
@@ -212,8 +217,9 @@ def _dispatch(g: MarkedGraph, ub: float):
         # the only free neighbor of a marked vertex is forced
         return 5, [(g.free_neighbors(m1), _NONE, _NONE)]
 
-    for comp, cl in zip(comps, classes):
-        if cl[0] == "complete_bipartite" and len(comp) > 2:
+    for comp in others:  # no clique, so at least 3 vertices
+        cl = g.classify_component(comp)
+        if cl[0] == "complete_bipartite":
             # one side joins the solution
             return 6, [(cl[1], _NONE, _NONE), (cl[2], _NONE, _NONE)]
 
@@ -221,7 +227,7 @@ def _dispatch(g: MarkedGraph, ub: float):
     if v7 is not None:
         return 7, _branch_delete(v7)
 
-    u = _branch_candidates(g, comps, classes, deg)[0]
+    u = _branch_candidates(g, others, deg)[0]
     d = deg[u]
     nbrs = sorted(g.free_neighbors(u), key=lambda v: (deg[v], v))
     if d == 1:

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 from midsolve.graph import MarkedGraph, plain_graph
+from midsolve.instances import gen_random, mark_random
 
 
 def complete(n, start=0):
@@ -44,3 +45,11 @@ def connected_labeled_graphs(max_n):
             g = plain_graph(range(n), edges)
             if len(g.free_components()) == 1:
                 yield g
+
+
+def seeded_marked_graphs():
+    """The 500 seeded marked graphs of acceptance criterion 1."""
+    for seed in range(500):
+        n = 4 + seed % 5
+        yield mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
+                          0.25, seed + 10_000)

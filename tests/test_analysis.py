@@ -1,13 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import complete, cycle, path, star
 from midsolve.analysis import (LB_GROWTH_RATE, REFERENCE_WEIGHTS, TIGHT_LABELS,
                                AnalysisError, Recurrence, WeightVector,
-                               audit_weights, branching_factor,
-                               lb_recurrence_predict, measure,
+                               audit_weights, branching_factor, measure,
                                optimize_weights, recurrence_catalog)
 from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound
@@ -164,37 +162,14 @@ class TestOptimize:
 
 
 class TestLbRecurrence:
-    def test_base_values(self):
-        for k in range(5):
-            assert lb_recurrence_predict(k) == 1
-
-    def test_recurrence_step(self):
-        for k in range(5, 30):
-            assert lb_recurrence_predict(k) == (lb_recurrence_predict(k - 3)
-                                                + lb_recurrence_predict(k - 4)
-                                                + lb_recurrence_predict(k - 5))
-
     def test_growth_rate(self):
-        a, b = lb_recurrence_predict(80), lb_recurrence_predict(81)
-        assert b / a == pytest.approx(LB_GROWTH_RATE, abs=1e-6)
+        # L[k] = L[k-3] + L[k-4] + L[k-5] from L[0..4] = 1: the ratio of
+        # consecutive values tends to the dominant root
+        vals = [1] * 5
+        for k in range(5, 82):
+            vals.append(vals[k - 3] + vals[k - 4] + vals[k - 5])
+        assert vals[81] / vals[80] == pytest.approx(LB_GROWTH_RATE, abs=1e-6)
 
     def test_growth_rate_is_characteristic_root(self):
         x = LB_GROWTH_RATE
         assert x ** 5 == pytest.approx(x ** 2 + x + 1, abs=1e-6)
-
-    def test_bad_base_rejected(self):
-        with pytest.raises(AnalysisError):
-            lb_recurrence_predict(3, base=(1, 1, 1))
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(AnalysisError):
-            lb_recurrence_predict(-1)
-
-    @given(st.lists(st.integers(1, 5), min_size=5, max_size=5))
-    @settings(max_examples=30, deadline=None)
-    def test_linear_in_base(self, base):
-        # the recurrence is linear: doubling the base doubles every value
-        doubled = [2 * v for v in base]
-        for k in (7, 12, 20):
-            assert (lb_recurrence_predict(k, doubled)
-                    == 2 * lb_recurrence_predict(k, base))

@@ -1,7 +1,7 @@
 """Smoke tests of the benchmark: one pass of the search-plain workload with
-every cross-module target wrapped by name, and one untraced pass of the
-search-marked workload, whose results the harness checks against its
-frozen answers."""
+every cross-module target wrapped by name, and one untraced pass each of
+the search-marked and clique-endgame workloads, whose results the harness
+checks against its frozen answers."""
 
 import json
 import subprocess
@@ -29,3 +29,9 @@ def test_search_marked_run_is_correct():
     # bound checked end to end against the frozen sizes, and every witness
     # with check_ids
     assert run_bench("search-marked", 0)["correct"] is True
+
+
+def test_clique_endgame_run_is_correct():
+    # marked clique unions, feasible and infeasible: each solve is one CSP
+    # endgame node, checked against the frozen sizes and with check_ids
+    assert run_bench("clique-endgame", 0)["correct"] is True

@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import complete, cycle, from_edges, path
+from conftest import complete, cycle, from_edges, path, seeded_marked_graphs
 from midsolve.graph import GraphError, MarkedGraph, plain_graph
-from midsolve.instances import gen_lower_bound
+from midsolve.instances import gen_lower_bound, gen_random
 
 
 def random_marked_graph(draw_n=st.integers(2, 8), seed=st.integers(0, 2 ** 30)):
@@ -168,3 +170,73 @@ class TestClassifyComponent:
                 assert x | y == comp and not (x & y)
                 assert all(g.free_neighbors(v) & comp == y for v in x)
 
+
+def two_colouring_classify(g, comp):
+    """Reference classifier: one BFS from min(comp) over the free vertices
+    checks that comp is a free component, counts free degrees and 2-colours
+    it; a connected bipartite graph has a unique bipartition."""
+    b = frozenset(comp)
+    if not b or not b <= g.free:
+        raise GraphError(f"{sorted(b)} is not a free component")
+    free_deg = {}
+    color = {min(b): 0}
+    frontier = [min(b)]
+    bipartite = True
+    while frontier:
+        v = frontier.pop()
+        nbrs = g.free_neighbors(v)
+        free_deg[v] = len(nbrs)
+        for w in nbrs:
+            if w not in color:
+                color[w] = 1 - color[v]
+                frontier.append(w)
+            elif color[w] == color[v]:
+                bipartite = False
+    if color.keys() != b:
+        raise GraphError(f"{sorted(b)} is not a free component")
+    if all(d == len(b) - 1 for d in free_deg.values()):
+        return ("clique", len(b))
+    if not bipartite:
+        return ("other",)
+    x = frozenset(v for v in b if color[v] == 0)
+    y = b - x
+    if all(free_deg[v] == len(y if v in x else x) for v in b):
+        if (len(y), min(y)) < (len(x), min(x)):
+            x, y = y, x
+        return ("complete_bipartite", x, y)
+    return ("other",)
+
+
+def all_labeled_graphs(max_n):
+    """Every labeled plain graph on 1..max_n vertices, connected or not."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield plain_graph(range(n), [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def classify_outcome(classify, g, verts):
+    try:
+        return classify(g, verts)
+    except GraphError as e:
+        return ("GraphError", str(e))
+
+
+class TestClassifyMatchesTwoColouring:
+    """classify_component gives the reference's result, or raises its
+    GraphError, on every free component, each component without its
+    smallest vertex, the union of all components and the marked set."""
+
+    @pytest.mark.parametrize("graphs", [
+        lambda: all_labeled_graphs(5),
+        seeded_marked_graphs,
+        lambda: (gen_random(n, 0.05 + n % 4 * 0.05, n) for n in range(20, 41)),
+    ], ids=["labeled_up_to_5", "seeded_marked", "random_20_to_40"])
+    def test_same_result(self, graphs):
+        for g in graphs():
+            comps = g.free_components()
+            sets = [*comps, *(c - {min(c)} for c in comps),
+                    frozenset().union(*comps), g.marked]
+            for verts in sets:
+                assert (classify_outcome(MarkedGraph.classify_component, g, verts)
+                        == classify_outcome(two_colouring_classify, g, verts)), (g, verts)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete, connected_labeled_graphs, cycle, from_edges,
-                      path, plain_graph, star)
+                      path, plain_graph, seeded_marked_graphs, star)
 from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
@@ -363,14 +363,6 @@ def assert_pruning_exact(g):
     if sol.feasible:
         assert check_ids(g, sol.witness)
     assert sol.size == exhaustive_mids(g).size
-
-
-def seeded_marked_graphs():
-    """The 500 seeded marked graphs of acceptance criterion 1."""
-    for seed in range(500):
-        n = 4 + seed % 5
-        yield mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
-                          0.25, seed + 10_000)
 
 
 class TestPruning:
