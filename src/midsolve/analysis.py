@@ -70,7 +70,8 @@ class Recurrence:
 def measure(g) -> float:
     """Weight sum over the free vertices under the reference weights; marked
     vertices contribute 0."""
-    return sum(REFERENCE_WEIGHTS.for_degree(g.f_degree(v)) for v in g.free)
+    deg = g.f_degrees()
+    return sum(REFERENCE_WEIGHTS.for_degree(deg[v]) for v in g.free)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,92 @@ A marked graph partitions its vertices into *free* vertices (eligible for
 the solution set) and *marked* vertices (excluded from the solution but
 still requiring domination).  Edges between two marked vertices carry no
 information for independent domination and are dropped at construction.
+
+Representation.  The constructor builds a ``Relabelling``: the vertex
+identifiers in ascending order, so that index i stands for the i-th
+smallest identifier, and one adjacency bitmask per index, a Python ``int``
+whose bit j is set when i and j are adjacent (marked-marked edges left
+out).  A graph is that shared relabelling plus two ``int`` masks,
+``free_mask`` and ``marked_mask``.  An induced subgraph that deletes or
+marks vertices shares its parent's relabelling: building it is two mask
+ANDs.  Its edges are the relabelling's edges inside its vertex set, except
+those between two of its marked vertices.  A vertex that is free in such a
+subgraph is free in the graph the relabelling was built for, so its edges
+to marked vertices were never dropped; an ``induced`` call that frees a
+marked vertex builds a new relabelling instead.
+
+The solver works on the masks: ``degrees``, ``component_masks``,
+``classify_mask``, ``is_clique_mask``, ``child`` and ``base.adj``, read
+through ``bits`` and ``select``.  Identifiers appear only at the public
+methods, which decode from the masks, and in witnesses.  The lowest set
+bit is the smallest identifier, so scanning a mask upward visits vertices
+in ascending identifier order, the order every tie-break of the solver
+uses.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
     """Malformed graph construction or query."""
+
+
+_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def select(seq, mask: int) -> Iterator:
+    """The entries of ``seq`` at the set bits of ``mask``, in index order.
+
+    For a dense mask ``itertools.compress`` walks its binary digits, lowest
+    first, with no Python loop per vertex; a sparse one goes through
+    ``bits``.  Either way the cost grows with the number of set bits, not
+    with the highest one.
+    """
+    if mask.bit_length() > 8 * mask.bit_count():
+        return map(seq.__getitem__, bits(mask))
+    return compress(seq, bin(mask)[:1:-1].encode().translate(_DIGIT))
+
+
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return out
+
+
+class Relabelling:
+    """Dense order-preserving relabelling of a vertex set, with adjacency.
+
+    ``ids[i]`` is the i-th smallest identifier, ``index`` maps it back to
+    i, and ``adj[i]`` is the adjacency bitmask of index i.  Immutable and
+    shared by a graph and every induced subgraph built from it.
+    """
+
+    __slots__ = ("ids", "index", "adj")
+
+    def __init__(self, ids: tuple, index: dict, adj: tuple):
+        self.ids = ids
+        self.index = index
+        self.adj = adj
+
+    def mask(self, vs: Iterable[int]) -> int:
+        """Bitmask of the given identifiers, all of which must be known."""
+        index = self.index
+        m = 0
+        for v in vs:
+            m |= 1 << index[v]
+        return m
+
+    def decode(self, mask: int) -> frozenset:
+        """Identifiers of the set bits of ``mask``."""
+        return frozenset(select(self.ids, mask))
 
 
 class MarkedGraph:
@@ -22,7 +99,7 @@ class MarkedGraph:
     objects, so values can be shared freely between threads.
     """
 
-    __slots__ = ("free", "marked", "_adj")
+    __slots__ = ("base", "free_mask", "marked_mask")
 
     def __init__(self, free: Iterable[int], marked: Iterable[int],
                  edges: Iterable[tuple[int, int]]):
@@ -31,67 +108,138 @@ class MarkedGraph:
         overlap = free_set & marked_set
         if overlap:
             raise GraphError(f"vertices both free and marked: {sorted(overlap)}")
-        verts = free_set | marked_set
-        adj: dict[int, set[int]] = {v: set() for v in verts}
+        ids = tuple(sorted(free_set | marked_set))
+        index = {v: i for i, v in enumerate(ids)}
+        adj = [0] * len(ids)
         for a, b in edges:
             if a == b:
                 raise GraphError(f"self-loop at vertex {a}")
-            if a not in verts or b not in verts:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise GraphError(f"edge ({a},{b}) has an unknown endpoint")
             if a in marked_set and b in marked_set:
                 continue  # marked-marked edges are irrelevant; dropped
-            adj[a].add(b)
-            adj[b].add(a)
-        self.free = free_set
-        self.marked = marked_set
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.base = base = Relabelling(ids, index, tuple(adj))
+        self.free_mask = base.mask(free_set)
+        self.marked_mask = base.mask(marked_set)
 
-    @classmethod
-    def _build(cls, free: frozenset, marked: frozenset,
-               adj: dict[int, frozenset]) -> "MarkedGraph":
-        """Fast internal constructor from a pre-filtered adjacency map."""
-        g = object.__new__(cls)
-        g.free = free
-        g.marked = marked
-        g._adj = adj
+    def child(self, free_mask: int, marked_mask: int) -> "MarkedGraph":
+        """The induced subgraph with these masks on the shared relabelling,
+        built without checks: ``free_mask`` must lie within this graph's
+        free vertices and ``marked_mask`` within its vertices."""
+        g = object.__new__(MarkedGraph)
+        g.base = self.base
+        g.free_mask = free_mask
+        g.marked_mask = marked_mask
         return g
+
+    # -- mask view --------------------------------------------------------
+
+    def nbr_mask(self, i: int) -> int:
+        """Neighbors of index i in this graph: a marked vertex has only
+        free ones."""
+        free = self.free_mask
+        return self.base.adj[i] & (free if self.marked_mask >> i & 1
+                                   else free | self.marked_mask)
+
+    def degrees(self) -> list[int]:
+        """F-degree of every index of the relabelling; only the entries of
+        this graph's vertices are meaningful."""
+        free = self.free_mask
+        return [(a & free).bit_count() for a in self.base.adj]
+
+    def component_masks(self) -> list[int]:
+        """Free components as masks, ordered by smallest member: a flood
+        fill from the lowest free vertex not yet reached, repeated."""
+        adj = self.base.adj
+        rest = self.free_mask  # free vertices not reached yet
+        comps = []
+        while rest:
+            comp = frontier = rest & -rest
+            rest ^= comp
+            while frontier:
+                i = frontier.bit_length() - 1
+                frontier ^= 1 << i
+                new = adj[i] & rest
+                if new:
+                    rest ^= new
+                    frontier |= new
+                    comp |= new
+            comps.append(comp)
+        return comps
+
+    def classify_mask(self, comp: int):
+        """``classify_component`` of a free component given as a mask, with
+        the sides of a complete bipartite component as masks."""
+        adj, free = self.base.adj, self.free_mask
+        size = comp.bit_count()
+        if all((a & free).bit_count() == size - 1 for a in select(adj, comp)):
+            return ("clique", size)
+        y = adj[(comp & -comp).bit_length() - 1] & free
+        x = comp & ~y
+        if (all(a & free == y for a in select(adj, x))
+                and all(a & free == x for a in select(adj, y))):
+            if (y.bit_count(), y & -y) < (x.bit_count(), x & -x):
+                x, y = y, x
+            return ("complete_bipartite", x, y)
+        return ("other",)
+
+    def is_clique_mask(self, m: int) -> bool:
+        """True iff the vertices of mask m are pairwise adjacent."""
+        return all(self.nbr_mask(i) & m == m ^ 1 << i for i in bits(m))
 
     # -- basic queries ----------------------------------------------------
 
     @property
+    def free(self) -> frozenset:
+        return self.base.decode(self.free_mask)
+
+    @property
+    def marked(self) -> frozenset:
+        return self.base.decode(self.marked_mask)
+
+    @property
     def vertices(self) -> frozenset:
-        return self.free | self.marked
+        return self.base.decode(self.free_mask | self.marked_mask)
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return (self.free_mask | self.marked_mask).bit_count()
+
+    def _at(self, v: int) -> int:
+        """Index of the vertex v of this graph."""
+        i = self.base.index.get(v)
+        if i is None or not (self.free_mask | self.marked_mask) >> i & 1:
+            raise GraphError(f"unknown vertex {v}")
+        return i
 
     def neighbors(self, v: int) -> frozenset:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v}") from None
+        return self.base.decode(self.nbr_mask(self._at(v)))
 
     def free_neighbors(self, v: int) -> frozenset:
-        return self.neighbors(v) & self.free
+        return self.base.decode(self.base.adj[self._at(v)] & self.free_mask)
 
     def f_degree(self, v: int) -> int:
         """Number of free neighbors of v."""
-        return len(self.neighbors(v) & self.free)
+        return (self.base.adj[self._at(v)] & self.free_mask).bit_count()
 
     def f_degrees(self) -> dict[int, int]:
         """Number of free neighbors of every vertex, free or marked."""
-        free = self.free
-        return {v: len(ns & free) for v, ns in self._adj.items()}
+        ids, adj, free = self.base.ids, self.base.adj, self.free_mask
+        return {ids[i]: (adj[i] & free).bit_count()
+                for i in bits(free | self.marked_mask)}
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted pairs, in lexicographic order."""
-        for a in sorted(self._adj):
-            for b in sorted(self._adj[a]):
-                if a < b:
-                    yield (a, b)
+        ids = self.base.ids
+        for i in bits(self.free_mask | self.marked_mask):
+            for j in bits(self.nbr_mask(i) >> i + 1 << i + 1):
+                yield (ids[i], ids[j])
 
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        return sum(self.nbr_mask(i).bit_count()
+                   for i in bits(self.free_mask | self.marked_mask)) // 2
 
     # -- constructions ----------------------------------------------------
 
@@ -111,33 +259,20 @@ class MarkedGraph:
         missing = kept - self.vertices
         if missing:
             raise GraphError(f"unknown vertices {sorted(missing)} in induced subgraph")
-        return MarkedGraph._build(
-            s, t, {v: self._adj[v] & (kept if v in s else s) for v in kept})
-
-    def _reach(self, start: int) -> frozenset:
-        """Free vertices reachable from the free vertex start through free
-        vertices: its free component."""
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            for w in self._adj[frontier.pop()] & self.free:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        return frozenset(comp)
+        free_mask = self.base.mask(s)
+        if free_mask & self.marked_mask:
+            # a freed marked vertex keeps no edge to a marked one, which only
+            # a new relabelling can record
+            return MarkedGraph(s, t, [(a, b) for a, b in self.edges()
+                                      if a in kept and b in kept])
+        return self.child(free_mask, self.base.mask(t))
 
     def free_components(self) -> list[frozenset]:
         """Connected components of the subgraph induced by the free vertices.
 
         Returned as a list of vertex sets ordered by smallest member.
         """
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(self.free):
-            if start not in seen:
-                comps.append(self._reach(start))
-                seen |= comps[-1]
-        return comps
+        return [self.base.decode(c) for c in self.component_masks()]
 
     def classify_component(self, comp: Iterable[int]):
         """Classify a free component as a clique, a complete bipartite graph
@@ -155,36 +290,33 @@ class MarkedGraph:
         every vertex of Y has free neighborhood X.
         """
         b = frozenset(comp)
-        if not b or not b <= self.free or self._reach(min(b)) != b:
+        c = self.base.mask(b) if b <= self.free else 0
+        if c not in self.component_masks():
             raise GraphError(f"{sorted(b)} is not a free component")
-        nbrs = {v: self._adj[v] & self.free for v in b}
-        if all(len(ns) == len(b) - 1 for ns in nbrs.values()):
-            return ("clique", len(b))
-        y = nbrs[min(b)]
-        x = b - y
-        if all(ns == (y if v in x else x) for v, ns in nbrs.items()):
-            if (len(y), min(y)) < (len(x), min(x)):
-                x, y = y, x
-            return ("complete_bipartite", x, y)
-        return ("other",)
+        cl = self.classify_mask(c)
+        if cl[0] == "complete_bipartite":
+            return (cl[0], self.base.decode(cl[1]), self.base.decode(cl[2]))
+        return cl
 
     def is_clique(self, vs: Iterable[int]) -> bool:
         """True iff the given vertices are pairwise adjacent."""
-        vl = list(vs)
-        return all(vl[j] in self._adj[vl[i]]
-                   for i in range(len(vl)) for j in range(i + 1, len(vl)))
+        m = 0
+        for v in vs:
+            m |= 1 << self._at(v)
+        return self.is_clique_mask(m)
 
     # -- equality / repr --------------------------------------------------
+
+    def _key(self) -> tuple:
+        return self.free, self.marked, tuple(self.edges())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarkedGraph):
             return NotImplemented
-        return (self.free == other.free and self.marked == other.marked
-                and self._adj == other._adj)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.free, self.marked,
-                     frozenset((v, ns) for v, ns in self._adj.items())))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"MarkedGraph(free={sorted(self.free)}, marked={sorted(self.marked)}, "

@@ -112,26 +112,26 @@ def mark_random(g: MarkedGraph, fraction: float, seed: int,
     verts = sorted(g.vertices)
     count = round(fraction * len(verts))
     edges = list(g.edges())
+    nbrs = {v: g.neighbors(v) for v in verts}
     rng = _SplitMix64(seed)
     marked: set = set()
     for _ in range(max_attempts):
         pool = list(verts)
         rng.shuffle(pool)
         marked = set(pool[:count])
-        if _mark_ok(g, marked):
+        if _mark_ok(nbrs, marked):
             break
     else:
         while True:
-            bad = sorted(v for v in marked
-                         if len(g.neighbors(v) - marked) > 4)
+            bad = sorted(v for v in marked if len(nbrs[v] - marked) > 4)
             if not bad:
                 break
             marked.discard(bad[0])
     return MarkedGraph(set(verts) - marked, marked, edges)
 
 
-def _mark_ok(g: MarkedGraph, marked: set) -> bool:
-    return all(len(g.neighbors(v) - marked) <= 4 for v in marked)
+def _mark_ok(nbrs: dict, marked: set) -> bool:
+    return all(len(nbrs[v] - marked) <= 4 for v in marked)
 
 
 # ---------------------------------------------------------------------------

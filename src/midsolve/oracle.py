@@ -27,14 +27,24 @@ def check_ids(g: MarkedGraph, d: Iterable[int]) -> bool:
     Requires d to consist of free vertices, be pairwise non-adjacent, and
     dominate every vertex (free and marked alike).
     """
-    ds = frozenset(d)
-    if not ds <= g.free:
+    return _is_ids(g.free, _neighborhoods(g), frozenset(d))
+
+
+def _neighborhoods(g: MarkedGraph) -> dict:
+    """Every vertex's neighbors, read once from the graph."""
+    return {v: g.neighbors(v) for v in g.vertices}
+
+
+def _is_ids(free: frozenset, nbrs: dict, ds: frozenset) -> bool:
+    """``check_ids`` on a graph given by its free vertices and the
+    neighborhoods of all its vertices."""
+    if not ds <= free:
         return False
     for v in ds:
-        if g.neighbors(v) & ds:
+        if nbrs[v] & ds:
             return False
-    for v in g.vertices:
-        if v not in ds and not (g.neighbors(v) & ds):
+    for v, ns in nbrs.items():
+        if v not in ds and not (ns & ds):
             return False
     return True
 
@@ -44,10 +54,11 @@ def exhaustive_mids(g: MarkedGraph) -> Solution:
     if len(g.free) > EXHAUSTIVE_LIMIT:
         raise OracleError(
             f"{len(g.free)} free vertices exceed the exhaustive guard of {EXHAUSTIVE_LIMIT}")
-    free_sorted = sorted(g.free)
+    free, nbrs = g.free, _neighborhoods(g)
+    free_sorted = sorted(free)
     for size in range(len(free_sorted) + 1):
         for cand in combinations(free_sorted, size):
-            if check_ids(g, cand):
+            if _is_ids(free, nbrs, frozenset(cand)):
                 return Solution.found(size, cand)
     return INFEASIBLE
 

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Union
 
 from . import csp
 from .analysis import measure
-from .graph import MarkedGraph
+from .graph import MarkedGraph, bits, select
 from .oracle import check_ids
 from .solution import INFEASIBLE, SearchStats, Solution, better
 
@@ -58,8 +58,6 @@ CSP_ENDGAME: CaseId = "csp_endgame"
 EMPTY: CaseId = "empty"
 PRUNED: CaseId = "pruned"
 
-_NONE: frozenset = frozenset()
-
 
 class SolverError(ValueError):
     """Input contract or internal invariant violation."""
@@ -67,16 +65,21 @@ class SolverError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Case dispatch
+#
+# Below, a vertex is its index in the graph's relabelling, a vertex set is
+# a bitmask (see ``graph``), and ``deg`` is ``g.degrees()``: the F-degree of
+# every index.  Indices ascend with identifiers, so every tie-break is the
+# one stated on identifiers.
 
 
-def _non_cliques(comps: list, deg: dict) -> list:
+def _non_cliques(comps: list, deg: list) -> list:
     """The free components that are not cliques.  A free vertex has all its
     free neighbors in its own component, so a component C is a clique
     exactly when each of its vertices has F-degree |C| - 1."""
-    return [c for c in comps if any(deg[v] != len(c) - 1 for v in c)]
+    return [c for c in comps if min(select(deg, c)) != c.bit_count() - 1]
 
 
-def _branch_candidates(g: MarkedGraph, others: list, deg: dict) -> list[int]:
+def _branch_candidates(g: MarkedGraph, others: list, deg: list) -> list[int]:
     """Vertex selection for Cases (8)-(18) from the node's free components
     that are not cliques and its F-degrees: all tied vertices, ascending.
 
@@ -85,23 +88,33 @@ def _branch_candidates(g: MarkedGraph, others: list, deg: dict) -> list[int]:
     neighbor of maximum F-degree; the branch vertex is the first (smallest
     identifier).
     """
-    eligible = frozenset().union(*others)
+    eligible = bits(sum(others))  # disjoint masks: their sum is their union
     if not eligible:
         return []
-    dmin = min(deg[v] for v in eligible)
-    min_deg = [v for v in sorted(eligible) if deg[v] == dmin]
-    dmax = max(deg[w] for v in min_deg for w in g.free_neighbors(v))
-    return [v for v in min_deg
-            if any(deg[w] == dmax for w in g.free_neighbors(v))]
+    dmin = min([deg[v] for v in eligible])
+    min_deg = [v for v in eligible if deg[v] == dmin]
+    adj, free = g.base.adj, g.free_mask
+    reached = 0  # free neighbors of the min-degree vertices
+    for v in min_deg:
+        reached |= adj[v] & free
+    reached = bits(reached)
+    dmax = max([deg[w] for w in reached])
+    top = 0  # those of F-degree dmax
+    for w in reached:
+        if deg[w] == dmax:
+            top |= 1 << w
+    return [v for v in min_deg if adj[v] & top]
 
 
 def case9_candidates(g: MarkedGraph) -> list[int]:
     """All vertices tied under criteria (a)-(c), ascending by identifier."""
-    deg = g.f_degrees()
-    return _branch_candidates(g, _non_cliques(g.free_components(), deg), deg)
+    deg = g.degrees()
+    ids = g.base.ids
+    return [ids[v] for v in
+            _branch_candidates(g, _non_cliques(g.component_masks(), deg), deg)]
 
 
-def _find_case7_triangle(g: MarkedGraph, deg: dict) -> Optional[int]:
+def _find_case7_triangle(g: MarkedGraph, deg: list) -> Optional[int]:
     """First free triangle (lexicographic vertex triple) with exactly one
     vertex of F-degree >= 3; returns that vertex.
 
@@ -109,12 +122,13 @@ def _find_case7_triangle(g: MarkedGraph, deg: dict) -> Optional[int]:
     the scan runs over the F-degree-2 vertices x only: x qualifies when its
     two free neighbors are adjacent and exactly one of them is big.
     """
+    adj, free = g.base.adj, g.free_mask
     best = None
-    for x in g.free:
+    for x in bits(free):
         if deg[x] != 2:
             continue
-        y, z = g.free_neighbors(x)
-        if z in g.neighbors(y) and (deg[y] >= 3) != (deg[z] >= 3):
+        y, z = bits(adj[x] & free)
+        if adj[y] >> z & 1 and (deg[y] >= 3) != (deg[z] >= 3):
             triple = sorted((x, y, z))
             if best is None or triple < best[0]:
                 best = triple, y if deg[y] >= 3 else z
@@ -123,11 +137,13 @@ def _find_case7_triangle(g: MarkedGraph, deg: dict) -> Optional[int]:
 
 def case11_select(g: MarkedGraph, u: int) -> int:
     """Vertex of N_F[u] whose free neighborhood spans at most one edge."""
-    for v in sorted(g.free_neighbors(u) | {u}):
-        nf = g.free_neighbors(v)
-        if sum(len(g.neighbors(w) & nf) for w in nf) // 2 <= 1:
+    adj, free = g.base.adj, g.free_mask
+    for v in bits(adj[u] & free | 1 << u):
+        nf = adj[v] & free
+        if sum((adj[w] & nf).bit_count() for w in bits(nf)) // 2 <= 1:
             return v
-    raise SolverError(f"no sparse-neighborhood vertex around {u}")  # unreachable in Case 11
+    # unreachable in Case 11
+    raise SolverError(f"no sparse-neighborhood vertex around {g.base.ids[u]}")
 
 
 def _lower_bound(g: MarkedGraph, comps: list) -> int:
@@ -145,46 +161,53 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
     since C is not empty.  The components are disjoint, so the terms add.
     Every term is at least 1: the bound is never below the component count.
     """
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    covered = [len(comp) for comp in comps]
-    for u in g.marked:
+    adj, free = g.base.adj, g.free_mask
+    verts = free | g.marked_mask
+    covered = [c.bit_count() for c in comps]
+    for nbrs in select(adj, g.marked_mask):
         # a marked vertex has only free neighbors, at least one in a node
         # that is not case 1
-        nbrs = g.neighbors(u)
-        i = comp_of[next(iter(nbrs))]
-        if nbrs <= comps[i]:
-            covered[i] += 1
-    return sum(max(1, -(-cov // (1 + max(map(len, map(g.neighbors, comp))))))
-               for cov, comp in zip(covered, comps))
+        nbrs &= free
+        for i, c in enumerate(comps):
+            if nbrs & c:
+                covered[i] += not nbrs & ~c
+                break
+    return sum(max(1, -(-cov // (1 + max([(a & verts).bit_count()
+                                          for a in select(adj, c)]))))
+               for cov, c in zip(covered, comps))
 
 
 def _branch_all(g: MarkedGraph, x: int) -> list:
     """x or one of its free neighbors joins the solution."""
-    return [({v}, _NONE, _NONE) for v in [x] + sorted(g.free_neighbors(x))]
+    return [(1 << v, 0, 0) for v in [x] + bits(g.base.adj[x] & g.free_mask)]
 
 
 def _branch_mark(u: int, nbrs: list) -> list:
     """u or one of its free neighbors nbrs joins the solution, in that order;
     the neighbors tried before are marked."""
-    return [({u}, _NONE, _NONE)] + [({v}, frozenset(nbrs[:i]), _NONE)
-                                    for i, v in enumerate(nbrs)]
+    branches = [(1 << u, 0, 0)]
+    tried = 0
+    for v in nbrs:
+        branches.append((1 << v, tried, 0))
+        tried |= 1 << v
+    return branches
 
 
 def _branch_one(x: int) -> list:
     """x joins the solution, or it is marked."""
-    return [({x}, _NONE, _NONE), (_NONE, {x}, _NONE)]
+    return [(1 << x, 0, 0), (0, 1 << x, 0)]
 
 
 def _branch_delete(x: int) -> list:
     """x joins the solution, or it is deleted but not marked: a clique in
     its neighborhood guarantees a dominator in every child solution."""
-    return [({x}, _NONE, _NONE), (_NONE, _NONE, {x})]
+    return [(1 << x, 0, 0), (0, 0, 1 << x)]
 
 
 def _dispatch(g: MarkedGraph, ub: float):
     """First applicable rule in listing order; returns (case, branches).
 
-    ``branches`` lists the rule's children in search order as triples
+    ``branches`` lists the rule's children in search order as mask triples
     ``(take, mark, drop)``: the free vertices the child commits to the
     solution, and those it marks or deletes; a leaf has none.  Ahead of the
     rules, a node whose lower bound (``_lower_bound``) is at least the
@@ -193,35 +216,37 @@ def _dispatch(g: MarkedGraph, ub: float):
     """
     if ub <= 0:
         return PRUNED, ()
-    if not g.free and not g.marked:
+    free, marked = g.free_mask, g.marked_mask
+    if not free | marked:
         return EMPTY, ()
-    deg = g.f_degrees()
-    if any(deg[u] == 0 for u in g.marked):
+    adj = g.base.adj
+    if any(not a & free for a in select(adj, marked)):
         return 1, ()
 
-    comps = g.free_components()
+    comps = g.component_masks()
     if ub < math.inf and _lower_bound(g, comps) >= ub:
         return PRUNED, ()
+    deg = g.degrees()  # past the bound: a cut node needs no F-degrees
     others = _non_cliques(comps, deg)
     if not others:
-        u5 = min((u for u in g.free if deg[u] >= 5), default=None)
+        u5 = next((u for u in bits(free) if deg[u] >= 5), None)
         if u5 is not None:
             return 2, _branch_all(g, u5)
-        u4 = min((u for u in g.free if deg[u] == 4), default=None)
+        u4 = next((u for u in bits(free) if deg[u] == 4), None)
         if u4 is not None:
             return 3, _branch_one(u4)
         return CSP_ENDGAME, ()
 
-    m1 = min((u for u in g.marked if deg[u] == 1), default=None)
+    m1 = next((u for u in bits(marked) if deg[u] == 1), None)
     if m1 is not None:
         # the only free neighbor of a marked vertex is forced
-        return 5, [(g.free_neighbors(m1), _NONE, _NONE)]
+        return 5, [(adj[m1] & free, 0, 0)]
 
     for comp in others:  # no clique, so at least 3 vertices
-        cl = g.classify_component(comp)
+        cl = g.classify_mask(comp)
         if cl[0] == "complete_bipartite":
             # one side joins the solution
-            return 6, [(cl[1], _NONE, _NONE), (cl[2], _NONE, _NONE)]
+            return 6, [(cl[1], 0, 0), (cl[2], 0, 0)]
 
     v7 = _find_case7_triangle(g, deg)
     if v7 is not None:
@@ -229,7 +254,7 @@ def _dispatch(g: MarkedGraph, ub: float):
 
     u = _branch_candidates(g, others, deg)[0]
     d = deg[u]
-    nbrs = sorted(g.free_neighbors(u), key=lambda v: (deg[v], v))
+    nbrs = sorted(bits(adj[u] & free), key=lambda v: (deg[v], v))
     if d == 1:
         return 8, _branch_all(g, u)
     if d == 2:
@@ -239,15 +264,15 @@ def _dispatch(g: MarkedGraph, ub: float):
     if d == 3:
         if all(deg[v] == 3 for v in nbrs):
             return 11, _branch_one(case11_select(g, u))
-        v4 = min((v for v in nbrs if deg[v] == 4), default=None)
+        v4 = next((v for v in nbrs if deg[v] == 4), None)
         if v4 is not None:
             return 12, _branch_one(v4)
-        v5 = min((v for v in nbrs if deg[v] == 5), default=None)
+        v5 = next((v for v in nbrs if deg[v] == 5), None)
         if v5 is not None:
-            return 13, [({u}, _NONE, _NONE), ({v5}, _NONE, _NONE),
-                        (_NONE, {u, v5}, _NONE)]
+            return 13, [(1 << u, 0, 0), (1 << v5, 0, 0),
+                        (0, 1 << u | 1 << v5, 0)]
         if sum(1 for v in nbrs if deg[v] == 3) >= 2:
-            if g.is_clique(g.free_neighbors(u)):
+            if g.is_clique_mask(adj[u] & free):
                 return 14, _branch_delete(min(nbrs, key=lambda v: (-deg[v], v)))
             return 15, _branch_mark(u, nbrs)
         return 16, _branch_all(g, u)
@@ -263,14 +288,16 @@ def dispatch_case(g: MarkedGraph) -> CaseId:
 
 def _children(g: MarkedGraph, branches):
     """The children of a branching node in search order, each built only
-    when it is asked for: pairs ``(take, child)`` of the vertices the branch
-    commits and the instance left to solve, for each ``(take, mark, drop)``
-    of ``branches``.  N[take] leaves the graph, and the marked and deleted
-    vertices leave the free set."""
+    when it is asked for: pairs ``(take, child)`` of the mask of vertices
+    the branch commits and the instance left to solve, for each mask
+    triple ``(take, mark, drop)`` of ``branches``.  N[take] leaves the
+    graph, and the marked and deleted vertices leave the free set."""
+    adj, free, marked = g.base.adj, g.free_mask, g.marked_mask
     for take, mark, drop in branches:
-        nbrs = frozenset().union(*map(g.neighbors, take))
-        yield take, g.induced(g.free - nbrs - take - mark - drop,
-                              (g.marked | mark) - nbrs)
+        nbrs = take
+        for v in bits(take):
+            nbrs |= adj[v]
+        yield take, g.child(free & ~(nbrs | mark | drop), (marked | mark) & ~nbrs)
 
 
 def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
@@ -281,23 +308,23 @@ def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
     undominated vertices, the smallest identifier on ties; every free vertex
     is then dominated, and the result is kept only if ``check_ids`` passes.
     """
-    undominated = set(g.vertices)
-    order = sorted(g.free)
-    chosen = []
-    while True:
-        candidates = [v for v in order if v in undominated]
-        if not candidates:
-            break
-        v = max(candidates, key=lambda v: len(g.neighbors(v) & undominated))
-        chosen.append(v)
-        undominated -= g.neighbors(v) | {v}
-    return frozenset(chosen) if check_ids(g, chosen) else None
+    adj = g.base.adj
+    undominated = g.free_mask | g.marked_mask
+    chosen = 0
+    while g.free_mask & undominated:
+        v = max(bits(g.free_mask & undominated),
+                key=lambda v: (adj[v] & undominated).bit_count())
+        chosen |= 1 << v
+        undominated &= ~(adj[v] | 1 << v)
+    ids = g.base.decode(chosen)
+    return ids if check_ids(g, ids) else None
 
 
 def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
     """The input contract, also kept by every child: each marked vertex has
     at most 4 free neighbors."""
-    bad = [u for u in g.marked if g.f_degree(u) > 4]
+    deg = g.f_degrees()
+    bad = [u for u in g.marked if deg[u] > 4]
     if bad:
         raise SolverError(f"{prefix}marked vertex {min(bad)} has F-degree > 4")
 
@@ -329,7 +356,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     """
     _check_marked_degrees(g, "input contract violated: ")
     stats = SearchStats()
-    # open nodes, root first: [graph, case, children, ub, best, current child's taken]
+    # open nodes, root first: [graph, case, children, ub, best, current child's take mask]
     stack: list = []
     # an incumbent of size k lets the root look for solutions of size <= k:
     # the first optimum in search order, paper mode's witness, is still found
@@ -349,14 +376,15 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
             sol = (Solution.found(0, ()) if case == EMPTY else
                    csp.solve_clique_union(node) if case == CSP_ENDGAME else INFEASIBLE)
         else:  # handing INFEASIBLE to the node just opened keeps its best
-            stack.append([node, case, _children(node, branches), ub, INFEASIBLE, ()])
+            stack.append([node, case, _children(node, branches), ub, INFEASIBLE, 0])
             sol = INFEASIBLE
         # hand sol up, closing each node whose children are all solved
         while stack:
             frame = stack[-1]
             parent, parent_case, children, parent_ub, best, taken = frame
-            best = frame[4] = better(best, sol.plus(taken))
-            taken, node = next(children, ((), None))
+            if sol.feasible:  # lift it by the identifiers its branch took
+                best = frame[4] = better(best, sol.plus(parent.base.decode(taken)))
+            taken, node = next(children, (0, None))
             if node is not None:
                 break
             stack.pop()
@@ -364,7 +392,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
         else:
             return sol, stats
         if assert_mode:
-            if len(node.free) >= len(parent.free):
+            if node.free_mask.bit_count() >= parent.free_mask.bit_count():
                 raise SolverError("child does not shrink the free vertex set")
             if parent_case != 5:  # forcing, not branching
                 drop = measure(parent) - measure(node)
@@ -372,4 +400,4 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
                     raise SolverError(f"measure did not decrease (drop={drop})")
         frame[5] = taken
         bound = min(parent_ub, best.size) if prune and best.feasible else parent_ub
-        ub = bound - len(taken)
+        ub = bound - taken.bit_count()

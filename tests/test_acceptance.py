@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conftest import connected_labeled_graphs, seeded_marked_graphs
 from midsolve.analysis import (REFERENCE_WEIGHTS, TIGHT_LABELS, WeightVector,
                                audit_weights, optimize_weights,
                                recurrence_catalog)
@@ -39,17 +40,6 @@ def criterion(label):
     return pytest.mark.criterion(label)
 
 
-def connected_labeled_graphs(max_n):
-    """All connected labeled plain graphs on up to max_n vertices."""
-    for n in range(1, max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-            g = plain_graph(range(n), edges)
-            if len(g.free_components()) == 1:
-                yield g
-
-
 @criterion("1 (oracle equivalence)")
 def test_oracle_equivalence(scorecard):
     checked = 0
@@ -64,10 +54,8 @@ def test_oracle_equivalence(scorecard):
         checked += 1
     assert checked == 772  # 1 + 1 + 4 + 38 + 728 connected labeled graphs
 
-    for seed in range(500):
-        n = 4 + seed % 5  # |F| + |M| <= 8
-        g = mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
-                        0.25, seed + 10_000)
+    checked = 0
+    for seed, g in enumerate(seeded_marked_graphs()):  # |F| + |M| <= 8
         sol, _ = solve(g)
         ref = exhaustive_mids(g)
         ok = sol.feasible == ref.feasible and sol.size == ref.size \
@@ -75,6 +63,8 @@ def test_oracle_equivalence(scorecard):
         if not ok:
             scorecard["ok"] = False
         assert ok, f"mismatch on seed {seed}: {g!r}"
+        checked += 1
+    assert checked == 500
 
 
 def _random_clique_union(seed):

@@ -240,3 +240,99 @@ class TestClassifyMatchesTwoColouring:
             for verts in sets:
                 assert (classify_outcome(MarkedGraph.classify_component, g, verts)
                         == classify_outcome(two_colouring_classify, g, verts)), (g, verts)
+
+
+class NaiveGraph:
+    """Set-based reference model of a marked graph: adjacency sets keyed by
+    identifier, marked-marked edges dropped, nothing relabelled."""
+
+    def __init__(self, free, marked, edges):
+        self.free, self.marked = frozenset(free), frozenset(marked)
+        self.adj = {v: set() for v in self.free | self.marked}
+        for a, b in edges:
+            if not (a in self.marked and b in self.marked):
+                self.adj[a].add(b)
+                self.adj[b].add(a)
+
+    def free_neighbors(self, v):
+        return frozenset(self.adj[v] & self.free)
+
+    def edges(self):
+        return sorted((a, b) for a in self.adj for b in self.adj[a] if a < b)
+
+    def f_degrees(self):
+        return {v: len(ns & self.free) for v, ns in self.adj.items()}
+
+    def components(self):
+        comps, seen = [], set()
+        for start in sorted(self.free):
+            if start not in seen:
+                comp, frontier = {start}, [start]
+                while frontier:
+                    new = self.free_neighbors(frontier.pop()) - comp
+                    comp |= new
+                    frontier += new
+                seen |= comp
+                comps.append(frozenset(comp))
+        return comps
+
+    def induced(self, s, t):
+        kept = s | t
+        return NaiveGraph(s, t, [(a, b) for a, b in self.edges()
+                                 if a in kept and b in kept])
+
+
+@st.composite
+def sparse_id_graph(draw):
+    """(free, marked, edges) on up to 9 distinct identifiers drawn from a
+    wide range: negative, sparse and beyond 64 bits."""
+    ids = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=9,
+                        unique=True))
+    pairs = list(combinations(ids, 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+    marked = draw(st.sets(st.sampled_from(ids), max_size=len(ids) // 2))
+    return set(ids) - marked, marked, edges
+
+
+class TestRelabelling:
+    """Every query decoded from the masks equals a naive recomputation on
+    identifier sets, whatever the identifiers."""
+
+    @given(sparse_id_graph(), st.data())
+    def test_matches_naive_sets(self, spec, data):
+        free, marked, edges = spec
+        g = MarkedGraph(free, marked, edges)
+        ref = NaiveGraph(free, marked, edges)
+        assert (g.free, g.marked, g.vertices) == (ref.free, ref.marked, frozenset(ref.adj))
+        assert list(g.edges()) == ref.edges() and g.edge_count() == len(ref.edges())
+        assert g.f_degrees() == ref.f_degrees()
+        for v, ns in ref.adj.items():
+            assert g.neighbors(v) == ns
+            assert g.free_neighbors(v) == ref.free_neighbors(v)
+        comps = g.free_components()
+        assert comps == ref.components()
+        for comp in comps:
+            assert g.classify_component(comp) == two_colouring_classify(ref, comp)
+
+        rebuilt = MarkedGraph(free, marked, edges)
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+        kept = [e for e in edges if not (e[0] in marked and e[1] in marked)]
+        if kept:
+            assert g != MarkedGraph(free, marked, kept[1:])
+
+        # two induced subgraphs in a row, each of which may mark free
+        # vertices or free marked ones
+        for _ in range(2):
+            verts = sorted(ref.adj)
+            if not verts:
+                break
+            s = data.draw(st.sets(st.sampled_from(verts)))
+            rest = [v for v in verts if v not in s]
+            t = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+            g, ref = g.induced(s, t), ref.induced(frozenset(s), frozenset(t))
+            assert (g.free, g.marked, list(g.edges())) == (ref.free, ref.marked, ref.edges())
+            assert g.f_degrees() == ref.f_degrees()
+            assert g.free_components() == ref.components()
+            same = MarkedGraph(ref.free, ref.marked, ref.edges())
+            assert g == same and hash(g) == hash(same)

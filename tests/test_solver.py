@@ -39,7 +39,7 @@ def best_of_children(g, branches):
     plus the vertices its branch commits."""
     best = INFEASIBLE
     for taken, child in _children(g, branches):
-        best = better(best, solve(child)[0].plus(taken))
+        best = better(best, solve(child)[0].plus(g.base.decode(taken)))
     return best
 
 
@@ -130,21 +130,30 @@ class TestSolveBasics:
         assert (stats.nodes, stats.leaves, stats.max_depth,
                 stats.case_counts, sol.witness) == expected
 
+    # benchmark pool families rebuilt from their generators
+    POOL_FAMILIES = {
+        "lower-bound-l16": lambda seed: gen_lower_bound(16),
+        "marked-n40-p0.15-f0.2":
+            lambda seed: mark_random(gen_random(40, 0.15, seed), 0.2, seed),
+    }
+
     def test_benchmark_pool_trees(self):
-        # the marked benchmark pool members with at most 1,200 nodes, against
-        # the paper-mode trees frozen in the benchmark's expected answers
+        # lower-bound-l16/0 and the marked benchmark pool members with at
+        # most 1,200 nodes, against the paper-mode trees frozen in the
+        # benchmark's expected answers (read, never written)
         frozen = json.loads(EXPECTED_PATH.read_text())["instances"]
-        pool = [(int(key.rsplit("/", 1)[1]), want)
-                for key, want in frozen.items()
-                if key.startswith("marked-n40-p0.15-f0.2/") and want["nodes"] <= 1200]
-        assert len(pool) == 17
-        for seed, want in pool:
-            g = mark_random(gen_random(40, 0.15, seed), 0.2, seed)
+        pool = [(key, want) for key, want in frozen.items()
+                if key == "lower-bound-l16/0"
+                or key.startswith("marked-n40-p0.15-f0.2/") and want["nodes"] <= 1200]
+        assert len(pool) == 18
+        for key, want in pool:
+            family, seed = key.rsplit("/", 1)
+            g = self.POOL_FAMILIES[family](int(seed))
             paper, stats = solve(g, prune=False)
             witness = sorted(paper.witness) if paper.feasible else None
             assert (stats.nodes, stats.leaves, paper.size, witness) == \
-                (want["nodes"], want["leaves"], want["size"], want["witness"]), seed
-            assert solve(g)[0] == paper, seed
+                (want["nodes"], want["leaves"], want["size"], want["witness"]), key
+            assert solve(g)[0] == paper, key
 
 
 class TestDispatch:
@@ -233,7 +242,7 @@ class TestBranchingProcedures:
         branches = _branch_mark(0, [1, 2])
         assert _dispatch(g, math.inf) == (9, branches)
         children = list(_children(g, branches))
-        assert [taken for taken, _ in children] == [{0}, {1}, {2}]
+        assert [g.base.decode(taken) for taken, _ in children] == [{0}, {1}, {2}]
         third = children[2][1]
         assert third.marked == {1} and third.free == {3}
         assert best_of_children(g, branches).size == solve(g)[0].size
@@ -282,9 +291,9 @@ class TestCase7Triangle:
         graphs = [*connected_labeled_graphs(5), *seeded_marked_graphs(),
                   *(gen_random(n, 0.1 + (n % 4) * 0.05, n) for n in range(20, 41))]
         for g in graphs:
-            deg = g.f_degrees()
-            want = lexicographic_case7_triangle(g, deg)
-            assert _find_case7_triangle(g, deg) == want, g
+            want = lexicographic_case7_triangle(g, g.f_degrees())
+            got = _find_case7_triangle(g, g.degrees())
+            assert (None if got is None else g.base.ids[got]) == want, g
             found += want is not None
         assert found > 50
 
@@ -299,7 +308,7 @@ class TestCase7Triangle:
         g = from_edges(edges)
         assert lexicographic_case7_triangle(g, g.f_degrees()) == big
         case, branches = _dispatch(g, math.inf)
-        assert case == 7 and branches[0][0] == {big}
+        assert case == 7 and branches[0][0] == g.base.mask({big})
 
 
 class TestCase11Select:
@@ -408,7 +417,7 @@ class TestPruning:
 
 
 def lower_bound(g):
-    return _lower_bound(g, g.free_components())
+    return _lower_bound(g, g.component_masks())
 
 
 class TestLowerBound:
@@ -453,6 +462,33 @@ class TestGreedyIncumbent:
         g = from_edges([(0, 1), (0, 2), (1, 3)], marked=[2, 3])
         assert _greedy_ids(g) is None
         assert solve(g)[0] == INFEASIBLE
+
+
+def relabelled(g, f):
+    """g with every identifier v replaced by f(v)."""
+    return MarkedGraph(map(f, g.free), map(f, g.marked),
+                       [(f(a), f(b)) for a, b in g.edges()])
+
+
+class TestRelabelledSolve:
+    """The search sees only the order of the identifiers: under an
+    increasing map the trees are the same and the witness is mapped."""
+
+    @pytest.mark.parametrize("f", [lambda v: 3 * v - 7,
+                                   lambda v: -(10 ** 12) + 1000 * v,
+                                   lambda v: 2 ** 70 + v ** 3],
+                             ids=["3v-7", "negative_sparse", "beyond_64_bits"])
+    def test_same_trees_and_mapped_witness(self, f):
+        graphs = [gen_random(20, 0.3, 7), mark_random(gen_random(30, 0.15, 3), 0.2, 3),
+                  gen_lower_bound(8), *list(seeded_marked_graphs())[:100]]
+        for g in graphs:
+            h = relabelled(g, f)
+            for prune in (True, False):
+                (sol, stats), (hsol, hstats) = solve(g, prune=prune), solve(h, prune=prune)
+                assert (hstats.nodes, hstats.leaves, hstats.case_counts) == \
+                    (stats.nodes, stats.leaves, stats.case_counts), g
+                assert hsol.witness == (None if sol.witness is None
+                                        else frozenset(map(f, sol.witness))), g
 
 
 class TestExplicitStack:
