@@ -43,13 +43,9 @@ _DIGIT = bytes.maketrans(b"01", b"\0\1")
 def select(seq, mask: int) -> Iterator:
     """The entries of ``seq`` at the set bits of ``mask``, in index order.
 
-    For a dense mask ``itertools.compress`` walks its binary digits, lowest
-    first, with no Python loop per vertex; a sparse one goes through
-    ``bits``.  Either way the cost grows with the number of set bits, not
-    with the highest one.
+    ``itertools.compress`` walks the binary digits of ``mask``, lowest
+    first, with no Python loop per vertex.
     """
-    if mask.bit_length() > 8 * mask.bit_count():
-        return map(seq.__getitem__, bits(mask))
     return compress(seq, bin(mask)[:1:-1].encode().translate(_DIGIT))
 
 
@@ -299,11 +295,16 @@ class MarkedGraph:
         return cl
 
     def is_clique(self, vs: Iterable[int]) -> bool:
-        """True iff the given vertices are pairwise adjacent."""
+        """True iff the given vertices are pairwise adjacent.
+
+        A repeated vertex is not adjacent to itself, so a list with one
+        answers False.  Raises ``GraphError`` for an unknown vertex.
+        """
+        vl = list(vs)
         m = 0
-        for v in vs:
+        for v in vl:
             m |= 1 << self._at(v)
-        return self.is_clique_mask(m)
+        return m.bit_count() == len(vl) and self.is_clique_mask(m)
 
     # -- equality / repr --------------------------------------------------
 

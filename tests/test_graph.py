@@ -171,6 +171,28 @@ class TestClassifyComponent:
                 assert all(g.free_neighbors(v) & comp == y for v in x)
 
 
+
+class TestIsClique:
+    def test_pairwise_adjacent(self):
+        g = from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], marked=[3])
+        assert g.is_clique([0, 1, 2]) and g.is_clique([2, 3])
+        assert not g.is_clique([0, 1, 2, 3])
+        assert g.is_clique([]) and g.is_clique([3])
+
+    def test_repeated_vertex_is_not_a_clique(self):
+        g = complete(3)
+        assert not g.is_clique([0, 0])
+        assert not g.is_clique([0, 1, 2, 1])
+
+    @pytest.mark.parametrize("verts", [[9], [0, 9], [9, 0, 1]])
+    def test_unknown_vertex_rejected(self, verts):
+        with pytest.raises(GraphError, match="unknown vertex 9"):
+            complete(3).is_clique(verts)
+
+    def test_vertex_outside_induced_subgraph_rejected(self):
+        with pytest.raises(GraphError, match="unknown vertex 2"):
+            complete(3).induced({0, 1}, set()).is_clique([0, 2])
+
 def two_colouring_classify(g, comp):
     """Reference classifier: one BFS from min(comp) over the free vertices
     checks that comp is a free component, counts free degrees and 2-colours
