@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
+from .graph import select
+
 #: Asymptotic growth rate of the lower-bound leaf recurrence
 #: L[k] = L[k-3] + L[k-4] + L[k-5]: the real root of x^5 = x^2 + x + 1.
 LB_GROWTH_RATE = 1.3247179572
@@ -70,8 +72,7 @@ class Recurrence:
 def measure(g) -> float:
     """Weight sum over the free vertices under the reference weights; marked
     vertices contribute 0."""
-    deg = g.f_degrees()
-    return sum(REFERENCE_WEIGHTS.for_degree(deg[v]) for v in g.free)
+    return sum(REFERENCE_WEIGHTS.for_degree(d) for d in select(g.degrees(), g.free_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +148,11 @@ def _grid(lo: float, hi: float, step: float) -> Iterable[float]:
     return (lo + i * step for i in range(n + 1))
 
 
-def optimize_weights(catalog: Optional[Sequence[Recurrence]] = None,
-                     steps: Sequence[float] = (1e-2, 1e-3, 1e-4)) -> WeightVector:
+#: Grid steps of ``optimize_weights``: one nested refinement stage each.
+OPTIMIZE_STEPS = (1e-2, 1e-3, 1e-4)
+
+
+def optimize_weights(catalog: Optional[Sequence[Recurrence]] = None) -> WeightVector:
     """Best admissible weights by nested grid refinement.
 
     Ties go to the lexicographically smallest (w1, w2) pair so the result is
@@ -168,7 +172,7 @@ def optimize_weights(catalog: Optional[Sequence[Recurrence]] = None,
     best_w = None
     best_f = float("inf")
     lo1, hi1, lo2, hi2 = 0.0, 1.0, 2.0 / 3.0, 1.0
-    for step in steps:
+    for step in OPTIMIZE_STEPS:
         for w2 in _grid(lo2, hi2, step):
             for w1 in _grid(max(lo1, w2 / 2), min(hi1, w2), step):
                 w = WeightVector(round(w1, 6), round(w2, 6))

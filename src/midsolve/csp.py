@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import MarkedGraph
+from .graph import MarkedGraph, bits, non_cliques, select
 from .solution import INFEASIBLE, Solution
 
 
@@ -88,25 +88,25 @@ def encode(g: MarkedGraph) -> tuple[CspInstance, CliqueEncoding]:
     Cliques are numbered by smallest member; positions within a clique are
     ascending vertex identifiers, values 1..|K|.
     """
-    comps = g.free_components()
-    for comp in comps:
-        if not g.is_clique(comp):
-            raise CspError(f"free component {sorted(comp)} is not a clique")
-        if len(comp) > 4:
-            raise CspError(f"free clique {sorted(comp)} larger than 4")
-    for u in g.marked:
-        if g.f_degree(u) > 4:
-            raise CspError(f"marked vertex {u} has more than 4 free neighbors")
+    ids, adj, free, marked = g.base.ids, g.base.adj, g.free_mask, g.marked_mask
+    comps, deg = g.component_masks(), g.degrees()
+    others = non_cliques(comps, deg)
+    cliques = [tuple(select(ids, c)) for c in comps]
+    for comp, clique in zip(comps, cliques):
+        if comp in others:
+            raise CspError(f"free component {list(clique)} is not a clique")
+        if len(clique) > 4:
+            raise CspError(f"free clique {list(clique)} larger than 4")
+    for u in bits(marked):
+        if deg[u] > 4:
+            raise CspError(f"marked vertex {ids[u]} has more than 4 free neighbors")
 
-    cliques = [tuple(sorted(comp)) for comp in comps]
-    position = {v: (i, j + 1) for i, cl in enumerate(cliques)
-                for j, v in enumerate(cl)}
-    constraints = []
-    for u in sorted(g.marked):
-        lits = frozenset(position[v] for v in g.free_neighbors(u))
-        constraints.append(lits)
+    position = {v: (i, j + 1) for i, c in enumerate(comps)  # keyed by index
+                for j, v in enumerate(bits(c))}
+    constraints = tuple(frozenset(position[v] for v in bits(adj[u] & free))
+                        for u in bits(marked))
     inst = CspInstance(tuple(tuple(range(1, len(cl) + 1)) for cl in cliques),
-                       tuple(constraints))
+                       constraints)
     return inst, CliqueEncoding(tuple(cliques))
 
 

@@ -18,13 +18,13 @@ subgraph is free in the graph the relabelling was built for, so its edges
 to marked vertices were never dropped; an ``induced`` call that frees a
 marked vertex builds a new relabelling instead.
 
-The solver works on the masks: ``degrees``, ``component_masks``,
-``classify_mask``, ``is_clique_mask``, ``child`` and ``base.adj``, read
-through ``bits`` and ``select``.  Identifiers appear only at the public
-methods, which decode from the masks, and in witnesses.  The lowest set
-bit is the smallest identifier, so scanning a mask upward visits vertices
-in ascending identifier order, the order every tie-break of the solver
-uses.
+The solver, the CSP encoding and the measure work on the masks:
+``degrees``, ``component_masks``, ``non_cliques``, ``bipartite_sides``,
+``is_clique_mask``, ``child`` and ``base.adj``, read through ``bits`` and
+``select``.  Identifiers appear only at the public methods, which decode
+from the masks, in witnesses and in error messages.  The lowest set bit is
+the smallest identifier, so scanning a mask upward visits vertices in
+ascending identifier order, the order every tie-break of the solver uses.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def bits(mask: int) -> list[int]:
         mask ^= 1 << i
     out.reverse()
     return out
+
+
+def non_cliques(comps: list, deg: list) -> list:
+    """The free components (masks) that are not cliques, given the
+    F-degree of every index.  A free vertex has all its free neighbors in
+    its own component, so a component C is a clique exactly when each of
+    its vertices has F-degree |C| - 1."""
+    return [c for c in comps if min(select(deg, c)) != c.bit_count() - 1]
 
 
 class Relabelling:
@@ -166,21 +174,24 @@ class MarkedGraph:
             comps.append(comp)
         return comps
 
-    def classify_mask(self, comp: int):
-        """``classify_component`` of a free component given as a mask, with
-        the sides of a complete bipartite component as masks."""
+    def bipartite_sides(self, comp: int):
+        """The sides ``(X, Y)`` of a free component that is not a clique,
+        as masks, when it is complete bipartite, X the smaller side (ties
+        broken by smallest vertex); else None.
+
+        With v0 = min(C), Y = N_F(v0) and X = C - Y, C is complete
+        bipartite exactly when every vertex of X has free neighborhood Y and
+        every vertex of Y has free neighborhood X.
+        """
         adj, free = self.base.adj, self.free_mask
-        size = comp.bit_count()
-        if all((a & free).bit_count() == size - 1 for a in select(adj, comp)):
-            return ("clique", size)
         y = adj[(comp & -comp).bit_length() - 1] & free
         x = comp & ~y
-        if (all(a & free == y for a in select(adj, x))
+        if not (all(a & free == y for a in select(adj, x))
                 and all(a & free == x for a in select(adj, y))):
-            if (y.bit_count(), y & -y) < (x.bit_count(), x & -x):
-                x, y = y, x
-            return ("complete_bipartite", x, y)
-        return ("other",)
+            return None
+        if (y.bit_count(), y & -y) < (x.bit_count(), x & -x):
+            x, y = y, x
+        return x, y
 
     def is_clique_mask(self, m: int) -> bool:
         """True iff the vertices of mask m are pairwise adjacent."""
@@ -203,28 +214,11 @@ class MarkedGraph:
     def __len__(self) -> int:
         return (self.free_mask | self.marked_mask).bit_count()
 
-    def _at(self, v: int) -> int:
-        """Index of the vertex v of this graph."""
+    def neighbors(self, v: int) -> frozenset:
         i = self.base.index.get(v)
         if i is None or not (self.free_mask | self.marked_mask) >> i & 1:
             raise GraphError(f"unknown vertex {v}")
-        return i
-
-    def neighbors(self, v: int) -> frozenset:
-        return self.base.decode(self.nbr_mask(self._at(v)))
-
-    def free_neighbors(self, v: int) -> frozenset:
-        return self.base.decode(self.base.adj[self._at(v)] & self.free_mask)
-
-    def f_degree(self, v: int) -> int:
-        """Number of free neighbors of v."""
-        return (self.base.adj[self._at(v)] & self.free_mask).bit_count()
-
-    def f_degrees(self) -> dict[int, int]:
-        """Number of free neighbors of every vertex, free or marked."""
-        ids, adj, free = self.base.ids, self.base.adj, self.free_mask
-        return {ids[i]: (adj[i] & free).bit_count()
-                for i in bits(free | self.marked_mask)}
+        return self.base.decode(self.nbr_mask(i))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as sorted pairs, in lexicographic order."""
@@ -277,34 +271,19 @@ class MarkedGraph:
         Returns ``("clique", size)``, ``("complete_bipartite", X, Y)`` with X
         the smaller side (ties broken by smallest vertex), or ``("other",)``.
         Sizes 1 and 2 always classify as cliques.  Raises ``GraphError``
-        unless ``comp`` is exactly one free component.
-
-        The free neighbors of a component's vertices lie in the component,
-        so it is a clique when each vertex has ``|C| - 1`` of them.  Else
-        take v0 = min(C), Y = N_F(v0) and X = C - Y: C is complete
-        bipartite exactly when every vertex of X has free neighborhood Y and
-        every vertex of Y has free neighborhood X.
+        unless ``comp`` is exactly one free component.  ``non_cliques`` and
+        then ``bipartite_sides`` decide, on the component's mask.
         """
         b = frozenset(comp)
         c = self.base.mask(b) if b <= self.free else 0
         if c not in self.component_masks():
             raise GraphError(f"{sorted(b)} is not a free component")
-        cl = self.classify_mask(c)
-        if cl[0] == "complete_bipartite":
-            return (cl[0], self.base.decode(cl[1]), self.base.decode(cl[2]))
-        return cl
-
-    def is_clique(self, vs: Iterable[int]) -> bool:
-        """True iff the given vertices are pairwise adjacent.
-
-        A repeated vertex is not adjacent to itself, so a list with one
-        answers False.  Raises ``GraphError`` for an unknown vertex.
-        """
-        vl = list(vs)
-        m = 0
-        for v in vl:
-            m |= 1 << self._at(v)
-        return m.bit_count() == len(vl) and self.is_clique_mask(m)
+        if not non_cliques([c], self.degrees()):
+            return ("clique", len(b))
+        sides = self.bipartite_sides(c)
+        if sides is None:
+            return ("other",)
+        return ("complete_bipartite", *map(self.base.decode, sides))
 
     # -- equality / repr --------------------------------------------------
 

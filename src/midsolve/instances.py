@@ -97,15 +97,18 @@ def gen_random(n: int, p: float, seed: int) -> MarkedGraph:
     return plain_graph(range(1, n + 1), edges)
 
 
-def mark_random(g: MarkedGraph, fraction: float, seed: int,
-                max_attempts: int = 100) -> MarkedGraph:
+#: Draws ``mark_random`` makes before it falls back to unmarking.
+MARK_ATTEMPTS = 100
+
+
+def mark_random(g: MarkedGraph, fraction: float, seed: int) -> MarkedGraph:
     """Move a fraction of the vertices to marked, keeping the solver's input
     contract (marked F-degree <= 4).
 
     Marked-marked edges are dropped by construction.  A draw leaving some
     marked vertex with more than 4 free neighbors is rejected and redrawn;
-    if every attempt fails, offending vertices are unmarked (smallest
-    identifier first) until the contract holds, which always terminates.
+    after ``MARK_ATTEMPTS`` failed draws, offending vertices are unmarked
+    (smallest identifier first) until the contract holds, which always terminates.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"mark fraction {fraction} outside [0, 1]")
@@ -115,7 +118,7 @@ def mark_random(g: MarkedGraph, fraction: float, seed: int,
     nbrs = {v: g.neighbors(v) for v in verts}
     rng = _SplitMix64(seed)
     marked: set = set()
-    for _ in range(max_attempts):
+    for _ in range(MARK_ATTEMPTS):
         pool = list(verts)
         rng.shuffle(pool)
         marked = set(pool[:count])

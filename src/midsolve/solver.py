@@ -48,7 +48,7 @@ from typing import Callable, Optional, Union
 
 from . import csp
 from .analysis import measure
-from .graph import MarkedGraph, bits, select
+from .graph import MarkedGraph, bits, non_cliques, select
 from .oracle import check_ids
 from .solution import INFEASIBLE, SearchStats, Solution, better
 
@@ -70,13 +70,6 @@ class SolverError(ValueError):
 # a bitmask (see ``graph``), and ``deg`` is ``g.degrees()``: the F-degree of
 # every index.  Indices ascend with identifiers, so every tie-break is the
 # one stated on identifiers.
-
-
-def _non_cliques(comps: list, deg: list) -> list:
-    """The free components that are not cliques.  A free vertex has all its
-    free neighbors in its own component, so a component C is a clique
-    exactly when each of its vertices has F-degree |C| - 1."""
-    return [c for c in comps if min(select(deg, c)) != c.bit_count() - 1]
 
 
 def _branch_candidates(g: MarkedGraph, others: list, deg: list) -> list[int]:
@@ -111,7 +104,7 @@ def case9_candidates(g: MarkedGraph) -> list[int]:
     deg = g.degrees()
     ids = g.base.ids
     return [ids[v] for v in
-            _branch_candidates(g, _non_cliques(g.component_masks(), deg), deg)]
+            _branch_candidates(g, non_cliques(g.component_masks(), deg), deg)]
 
 
 def _find_case7_triangle(g: MarkedGraph, deg: list) -> Optional[int]:
@@ -227,7 +220,7 @@ def _dispatch(g: MarkedGraph, ub: float):
     if ub < math.inf and _lower_bound(g, comps) >= ub:
         return PRUNED, ()
     deg = g.degrees()  # past the bound: a cut node needs no F-degrees
-    others = _non_cliques(comps, deg)
+    others = non_cliques(comps, deg)
     if not others:
         u5 = next((u for u in bits(free) if deg[u] >= 5), None)
         if u5 is not None:
@@ -243,10 +236,10 @@ def _dispatch(g: MarkedGraph, ub: float):
         return 5, [(adj[m1] & free, 0, 0)]
 
     for comp in others:  # no clique, so at least 3 vertices
-        cl = g.classify_mask(comp)
-        if cl[0] == "complete_bipartite":
+        sides = g.bipartite_sides(comp)
+        if sides is not None:
             # one side joins the solution
-            return 6, [(cl[1], 0, 0), (cl[2], 0, 0)]
+            return 6, [(side, 0, 0) for side in sides]
 
     v7 = _find_case7_triangle(g, deg)
     if v7 is not None:
@@ -323,10 +316,10 @@ def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
 def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
     """The input contract, also kept by every child: each marked vertex has
     at most 4 free neighbors."""
-    deg = g.f_degrees()
-    bad = [u for u in g.marked if deg[u] > 4]
-    if bad:
-        raise SolverError(f"{prefix}marked vertex {min(bad)} has F-degree > 4")
+    deg = g.degrees()
+    bad = next((u for u in bits(g.marked_mask) if deg[u] > 4), None)
+    if bad is not None:
+        raise SolverError(f"{prefix}marked vertex {g.base.ids[bad]} has F-degree > 4")
 
 
 def solve(g: MarkedGraph, *, assert_mode: bool = False,

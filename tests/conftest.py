@@ -36,6 +36,13 @@ def from_edges(edges, marked=(), extra=()):
     return MarkedGraph(verts - set(marked), marked, edges)
 
 
+def f_degrees(g):
+    """Number of free neighbors of every vertex of g, keyed by identifier,
+    read from the mask view that the solver uses."""
+    deg = g.degrees()
+    return {v: deg[g.base.index[v]] for v in g.vertices}
+
+
 def connected_labeled_graphs(max_n):
     """All connected labeled plain graphs on up to max_n vertices."""
     for n in range(1, max_n + 1):

@@ -156,10 +156,6 @@ class TestOptimize:
         ref, _ = audit_weights(REFERENCE_WEIGHTS)
         assert opt <= ref + 1e-5
 
-    def test_coarse_single_stage(self):
-        w = optimize_weights(steps=(0.05,))
-        assert w.is_admissible()
-
 
 class TestLbRecurrence:
     def test_growth_rate(self):

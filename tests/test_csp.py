@@ -77,6 +77,44 @@ class TestEncode:
         with pytest.raises(CspError):
             encode(g)
 
+    def test_sparse_identifiers(self):
+        # identifiers 3v + 10, given out of order, with the marked ones
+        # between the free ones in identifier order: an index used as an
+        # identifier, or the reverse, changes the result
+        def vid(v):
+            return 3 * v + 10
+
+        cliques = [[4, 0, 7], [9, 2], [5]]
+        marked_nbrs = {11: [2, 4], 6: [5, 0], 1: [7, 9]}
+        edges = [(vid(a), vid(b)) for cl in cliques for i, a in enumerate(cl)
+                 for b in cl[:i]]
+        edges += [(vid(u), vid(v)) for u, vs in marked_nbrs.items() for v in vs]
+        edges.append((vid(11), vid(1)))  # marked-marked: dropped
+        g = MarkedGraph([vid(v) for cl in cliques for v in cl],
+                        [vid(u) for u in marked_nbrs], edges[::-1])
+        inst, enc = encode(g)
+        assert enc.clique_of == ((10, 22, 31), (16, 37), (25,))
+        assert inst.domains == ((1, 2, 3), (1, 2), (1,))
+        # one constraint per marked vertex 13, 28, 43, in that order
+        assert inst.constraints == (frozenset({(0, 3), (1, 2)}),
+                                    frozenset({(0, 1), (2, 1)}),
+                                    frozenset({(0, 2), (1, 1)}))
+
+    @pytest.mark.parametrize("g, message", [
+        (plain_graph([16, 10, 13], [(13, 16), (10, 13)]),
+         "free component [10, 13, 16] is not a clique"),
+        (plain_graph([22, 19, 16, 13, 10],
+                     itertools.combinations([22, 19, 16, 13, 10], 2)),
+         "free clique [10, 13, 16, 19, 22] larger than 4"),
+        (MarkedGraph([10, 13, 16, 19, 22, 46], [40, 43],
+                     [(40, v) for v in (10, 13, 16, 19, 22)] + [(43, 46)]),
+         "marked vertex 40 has more than 4 free neighbors"),
+    ], ids=["non_clique", "large_clique", "high_marked_degree"])
+    def test_errors_name_identifiers(self, g, message):
+        with pytest.raises(CspError) as exc:
+            encode(g)
+        assert str(exc.value) == message
+
     def test_decode(self):
         enc = CliqueEncoding(((3, 7), (10,)))
         assert enc.decode({0: 2, 1: 1}) == {7, 10}

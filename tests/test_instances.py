@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import complete, f_degrees
+from midsolve import instances
 from midsolve.graph import MarkedGraph
-from midsolve.instances import (InstanceFormatError, _SplitMix64,
-                                gen_lower_bound, gen_random, mark_random,
-                                read_graph, write_graph)
+from midsolve.instances import (MARK_ATTEMPTS, InstanceFormatError,
+                                _SplitMix64, gen_lower_bound, gen_random,
+                                mark_random, read_graph, write_graph)
 
 
 class TestLowerBoundFamily:
@@ -26,14 +28,14 @@ class TestLowerBoundFamily:
                                      (3, 5), (4, 5), (4, 6), (5, 6)]
 
     def test_degrees(self):
-        g = gen_lower_bound(4)
+        deg = f_degrees(gen_lower_bound(4))
         # top layer vertices u_l, v_l have degree 3 and 2; u_1 has degree 2
-        assert g.f_degree(7) == 3
-        assert g.f_degree(8) == 2
-        assert g.f_degree(1) == 2
+        assert deg[7] == 3
+        assert deg[8] == 2
+        assert deg[1] == 2
         # interior vertices have degree 4
-        assert g.f_degree(3) == 4
-        assert g.f_degree(4) == 4
+        assert deg[3] == 4
+        assert deg[4] == 4
 
     def test_invalid_l(self):
         with pytest.raises(ValueError):
@@ -108,21 +110,28 @@ class TestMarkRandom:
         for seed in range(25):
             g = gen_random(18, 0.4, seed)
             h = mark_random(g, 0.3, seed + 50)
+            deg = f_degrees(h)
             for m in h.marked:
-                assert h.f_degree(m) <= 4
+                assert deg[m] <= 4
 
     def test_deterministic(self):
         g = gen_random(15, 0.3, 4)
         assert mark_random(g, 0.4, 9) == mark_random(g, 0.4, 9)
 
-    def test_fallback_unmarks_violators(self):
-        # star with 10 leaves: marking the center always leaves f-degree 10,
-        # so any draw containing the center must fall back to unmarking it
-        g = MarkedGraph(range(11), [],
-                        [(0, i) for i in range(1, 11)])
-        h = mark_random(g, 0.5, 0, max_attempts=3)
-        for m in h.marked:
-            assert h.f_degree(m) <= 4
+    def test_fallback_unmarks_violators(self, monkeypatch):
+        # K6 at fraction 1/6: every draw marks one vertex, which keeps 5 free
+        # neighbors, so every draw fails and the fallback unmarks it
+        draws, mark_ok = [], instances._mark_ok
+
+        def spy(nbrs, marked):
+            draws.append(mark_ok(nbrs, marked))
+            return draws[-1]
+
+        monkeypatch.setattr(instances, "_mark_ok", spy)
+        g = complete(6)
+        h = mark_random(g, 1 / 6, 0)
+        assert draws == [False] * MARK_ATTEMPTS
+        assert not h.marked and h == g
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (complete, connected_labeled_graphs, cycle, from_edges,
-                      path, plain_graph, seeded_marked_graphs, star)
+from conftest import (complete, connected_labeled_graphs, cycle, f_degrees,
+                      from_edges, path, plain_graph, seeded_marked_graphs, star)
 from midsolve.graph import MarkedGraph
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
@@ -275,10 +275,10 @@ def lexicographic_case7_triangle(g, deg):
     """Reference scan: the first free triangle in lexicographic order of
     its vertex triple with exactly one vertex of F-degree >= 3."""
     for a in sorted(g.free):
-        na = sorted(v for v in g.free_neighbors(a) if v > a)
+        na = sorted(v for v in g.neighbors(a) & g.free if v > a)
         for i, b in enumerate(na):
             for c in na[i + 1:]:
-                if c in g.free_neighbors(b):
+                if c in g.neighbors(b):
                     big = [v for v in (a, b, c) if deg[v] >= 3]
                     if len(big) == 1:
                         return big[0]
@@ -291,7 +291,7 @@ class TestCase7Triangle:
         graphs = [*connected_labeled_graphs(5), *seeded_marked_graphs(),
                   *(gen_random(n, 0.1 + (n % 4) * 0.05, n) for n in range(20, 41))]
         for g in graphs:
-            want = lexicographic_case7_triangle(g, g.f_degrees())
+            want = lexicographic_case7_triangle(g, f_degrees(g))
             got = _find_case7_triangle(g, g.degrees())
             assert (None if got is None else g.base.ids[got]) == want, g
             found += want is not None
@@ -306,7 +306,7 @@ class TestCase7Triangle:
     ])
     def test_smallest_triple_wins(self, edges, big):
         g = from_edges(edges)
-        assert lexicographic_case7_triangle(g, g.f_degrees()) == big
+        assert lexicographic_case7_triangle(g, f_degrees(g)) == big
         case, branches = _dispatch(g, math.inf)
         assert case == 7 and branches[0][0] == g.base.mask({big})
 
@@ -317,7 +317,7 @@ class TestCase11Select:
         g = plain_graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
                                    (3, 5), (0, 3), (1, 4), (2, 5)])
         v = case11_select(g, 0)
-        nf = sorted(g.free_neighbors(v))
+        nf = sorted(g.neighbors(v) & g.free)
         span = sum(1 for i in range(len(nf)) for j in range(i + 1, len(nf))
                    if nf[j] in g.neighbors(nf[i]))
         assert span <= 1
@@ -328,7 +328,7 @@ class TestCase11Select:
                                    (4, 5), (5, 6), (6, 7), (7, 4),
                                    (0, 4), (1, 5), (2, 6), (3, 7)])
         v = case11_select(g, 0)
-        nf = sorted(g.free_neighbors(v))
+        nf = sorted(g.neighbors(v) & g.free)
         assert all(nf[j] not in g.neighbors(nf[i])
                    for i in range(len(nf)) for j in range(i + 1, len(nf)))
         assert dispatch_case(g) == 11
