@@ -14,27 +14,28 @@ identifiers, so two runs on the same input produce identical search trees.
 
 Branch and bound.  Every free component holds at least one vertex of any
 independent dominating set: marked vertices never dominate, and a free
-vertex can only be dominated from inside its own free component.  A
-component C needs more when it is large for its degrees: the solution
-vertices inside C must dominate C and the marked vertices whose free
-neighbors all lie in C, and each dominates at most its degree plus one of
-them.  ``_lower_bound`` sums these per-component bounds, so it is never
-below the number of free components.  Each node gets an exclusive upper
-bound ``ub`` and returns its best solution of size ``< ub``, or
+vertex can only be dominated from inside its own free component.  The
+solution vertices inside a component C must dominate C and the marked
+vertices whose free neighbors all lie in C, and C often needs more than
+one: as many as it takes for their closed neighborhoods, largest first, to
+cover that set (the degree-sequence bound), and at least one for each
+vertex of a set whose dominators are pairwise disjoint (the packing bound).
+``_lower_bound`` sums the larger of the two over the components, so it is
+never below the number of free components.  Each node gets an exclusive
+upper bound ``ub`` and returns its best solution of size ``< ub``, or
 ``INFEASIBLE`` when there is none.  The root has ``ub = k + 1``, where
-``k`` is the size of a greedy independent dominating set (``ub = inf``
-when the greedy choice leaves a marked vertex undominated); a child gets
+``k`` is the size of a greedy independent dominating set (``ub = inf`` when
+the greedy choice leaves a marked vertex undominated); a child gets
 ``min(ub, best) - j``, where ``best`` is the size of the best solution its
 earlier siblings returned and ``j`` the number of vertices the child's
 branch commits.  A node whose lower bound is at least its ``ub`` is a leaf
-of case ``"pruned"``: it cannot beat a solution already found.  The root
-is never cut, since its bound is at most the optimum, which is at most
-``k``.  Since ties keep the earlier branch in both modes, and the first
-optimum in search order has size below every ``ub`` on its path, pruning
-returns the same solution, witness included, as paper mode:
-``solve(g, prune=False)``, which keeps ``ub = inf`` throughout, computes
-no bound and runs the whole tree the paper analyses.  The lower-bound
-traces use paper mode.
+of case ``"pruned"``: it cannot beat a solution already found.  The root is
+never cut, since its bound is at most the optimum, which is at most ``k``.
+Since ties keep the earlier branch in both modes, and the first optimum in
+search order has size below every ``ub`` on its path, pruning returns the
+same solution, witness included, as paper mode: ``solve(g, prune=False)``,
+which keeps ``ub = inf`` throughout, computes no bound and runs the whole
+tree the paper analyses.  The lower-bound traces use paper mode.
 
 Input contract: every marked vertex has at most 4 free neighbors.  Entering
 from a plain graph (no marked vertices) satisfies this trivially, and the
@@ -44,6 +45,7 @@ branching rules preserve it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 from . import csp
@@ -141,33 +143,59 @@ def case11_select(g: MarkedGraph, u: int) -> int:
 
 def _lower_bound(g: MarkedGraph, comps: list) -> int:
     """Lower bound on the size of every independent dominating set of g:
-    the sum over the free components C of max(1, ceil((|C| + |M_C|) /
-    (Delta_C + 1))).
+    the sum over the free components C of the larger of two terms.
 
     M_C is the set of marked vertices whose free neighbors all lie in C,
-    and Delta_C the largest degree, free and marked neighbors counted, of a
-    vertex of C.  Proof: let D be a solution.  Only free vertices dominate,
-    and every free neighbor of a vertex of C or of M_C lies in C, so the
-    vertices of D inside C dominate all of C and M_C.  Each of them
-    dominates itself and its neighbors, at most Delta_C + 1 vertices, so at
-    least (|C| + |M_C|) / (Delta_C + 1) of them lie in C, and at least one
-    since C is not empty.  The components are disjoint, so the terms add.
-    Every term is at least 1: the bound is never below the component count.
+    and S the union of C and M_C.  Let D be a solution.  Only free vertices
+    dominate, and every free neighbor of a vertex of S lies in C, so the
+    vertices of D inside C dominate all of S.  Each term is at most their
+    number |D & C|:
+
+    - Degree sequence: the least k whose k largest values of
+      val(v) = 1 + |N(v) & S|, over v in C, sum to at least |S|.  A vertex
+      v of C dominates exactly val(v) vertices of S, so the values of the
+      |D & C| vertices of D in C sum to at least |S|, and so do the
+      |D & C| largest values.
+    - Packing: the dominators of a vertex v of S are the free vertices
+      that dominate it, N_F[v] for a free v and N_F(v) for a marked one,
+      all in C.  D holds a dominator of every vertex of S, so vertices of S
+      whose dominator sets are pairwise disjoint need as many distinct
+      vertices of D in C.  The packing is built greedily: smallest
+      dominator set first, ties by smallest identifier.
+
+    Both terms are at least 1, since C is not empty, and the first is at
+    least ceil(|S| / (Delta_C + 1)), Delta_C the largest degree in g of a
+    vertex of C, since no val(v) exceeds Delta_C + 1.  The components and
+    their sets S are disjoint, so the terms add: the bound is never below
+    the number of free components.
     """
     adj, free = g.base.adj, g.free_mask
-    verts = free | g.marked_mask
-    covered = [c.bit_count() for c in comps]
-    for nbrs in select(adj, g.marked_mask):
+    owned = [0] * len(comps)  # M_C of each component
+    for u in bits(g.marked_mask):
         # a marked vertex has only free neighbors, at least one in a node
         # that is not case 1
-        nbrs &= free
+        nbrs = adj[u] & free
         for i, c in enumerate(comps):
             if nbrs & c:
-                covered[i] += not nbrs & ~c
+                if not nbrs & ~c:
+                    owned[i] |= 1 << u
                 break
-    return sum(max(1, -(-cov // (1 + max([(a & verts).bit_count()
-                                          for a in select(adj, c)]))))
-               for cov, c in zip(covered, comps))
+    total = 0
+    for c, m in zip(comps, owned):
+        s = c | m
+        need = s.bit_count()
+        vals = sorted([(a & s).bit_count() + 1 for a in select(adj, c)],
+                      reverse=True)
+        k = next(i for i, r in enumerate(accumulate(vals), 1) if r >= need)
+        packed = used = 0
+        # N[v] & C is N_F[v] for a free v of S and N_F(v) for a marked one
+        for dom in sorted([(adj[v] | 1 << v) & c for v in bits(s)],
+                          key=int.bit_count):
+            if not dom & used:
+                used |= dom
+                packed += 1
+        total += max(k, packed)
+    return total
 
 
 def _branch_all(g: MarkedGraph, x: int) -> list:
@@ -335,14 +363,15 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
 
     With ``prune`` (the default) the search is a branch and bound, seeded
     with a greedy independent dominating set as its incumbent: a node whose
-    lower bound (``_lower_bound``: per free component, its vertices and the
-    marked vertices only it can dominate, divided by its largest degree
-    plus one) is at least the best size found so far minus the vertices
-    committed above it is cut and counted as case ``"pruned"``.  The root
-    is never cut.  ``prune=False`` is paper mode: it runs the whole
-    branch-and-reduce tree the paper analyses, with the same nodes, leaves,
-    case counts and witness as before pruning existed.  Both modes return
-    the same solution.
+    lower bound is at least the best size found so far minus the vertices
+    committed above it is cut and counted as case ``"pruned"``.  The bound
+    (``_lower_bound``) takes, per free component, the larger of a
+    degree-sequence bound and a packing bound on the solution vertices
+    needed to dominate the component and the marked vertices only it can
+    dominate.  The root is never cut.  ``prune=False`` is paper mode: it
+    runs the whole branch-and-reduce tree the paper analyses, with the same
+    nodes, leaves, case counts and witness as before pruning existed.  Both
+    modes return the same solution.
 
     The search is one loop over an explicit stack, not a recursion: it
     changes no process-global state, so several threads may solve at once.

@@ -50,7 +50,7 @@ def connected_labeled_graphs(max_n):
         for mask in range(1 << len(pairs)):
             edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
             g = plain_graph(range(n), edges)
-            if len(g.free_components()) == 1:
+            if len(g.component_masks()) == 1:
                 yield g
 
 

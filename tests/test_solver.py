@@ -114,11 +114,11 @@ class TestSolveBasics:
     # the same inputs with pruning on: the same witnesses from smaller trees
     PINNED_PRUNED_TREES = [
         (lambda: gen_random(20, 0.3, 7),
-         (33, 19, 4, {CSP_ENDGAME: 2, PRUNED: 16, 1: 1, 5: 1, 6: 1, 8: 7,
-                      9: 5}, {6, 8, 12, 20})),
+         (30, 18, 4, {CSP_ENDGAME: 2, PRUNED: 15, 1: 1, 6: 1, 8: 6, 9: 5},
+          {6, 8, 12, 20})),
         (lambda: mark_random(gen_random(30, 0.15, 3), 0.2, 3),
-         (45, 18, 7, {CSP_ENDGAME: 1, EMPTY: 1, PRUNED: 14, 1: 2, 5: 13, 6: 1,
-                      8: 10, 9: 2, 10: 1}, {8, 16, 19, 22, 23, 24, 30})),
+         (21, 9, 7, {CSP_ENDGAME: 1, EMPTY: 1, PRUNED: 6, 1: 1, 5: 6, 6: 1,
+                     8: 3, 9: 1, 10: 1}, {8, 16, 19, 22, 23, 24, 30})),
         (lambda: gen_lower_bound(8),
          (13, 9, 4, {EMPTY: 1, PRUNED: 8, 9: 4}, {1, 4, 9, 14})),
     ]
@@ -420,6 +420,14 @@ def lower_bound(g):
     return _lower_bound(g, g.component_masks())
 
 
+def degree_ceiling(g):
+    """ceil((|C| + |M_C|) / (Delta_C + 1)) for a graph with one free
+    component C, whose marked vertices all have a free neighbor, so that
+    M_C holds all of them."""
+    delta = max(len(g.neighbors(v)) for v in g.free)
+    return -(-len(g) // (delta + 1))
+
+
 class TestLowerBound:
     def test_at_most_the_optimum(self):
         for g in [*connected_labeled_graphs(5), *seeded_marked_graphs()]:
@@ -429,17 +437,55 @@ class TestLowerBound:
             if ref.feasible:
                 assert lower_bound(g) <= ref.size, g
 
+    def test_at_most_the_optimum_up_to_16_vertices(self):
+        checked = 0
+        for seed in range(2000):
+            n = 9 + seed % 8
+            g = mark_random(gen_random(n, 0.15 + (seed % 5) * 0.07, seed),
+                            0.25 + (seed % 3) * 0.1, seed + 20_000)
+            if any(not g.neighbors(u) for u in g.marked):
+                continue  # case 1 is dispatched before the bound
+            ref = exhaustive_mids(g)
+            if ref.feasible:
+                checked += 1
+                assert lower_bound(g) <= ref.size, g
+        assert checked > 1000
+
     def test_exceeds_the_component_count(self):
         # P7: one component of 7 vertices of degree <= 2, so ceil(7 / 3)
         g = path(7)
-        assert len(g.free_components()) == 1
+        assert len(g.component_masks()) == 1
+        assert lower_bound(g) == exhaustive_mids(g).size == 3
+
+    def test_degree_sequence_term(self):
+        # C5 on 0..4 with the path 0-5-6-7: vertex 0 has degree 3, the
+        # others at most 2, so ceil(8 / 4) = 2, but the two largest values
+        # 1 + |N(v)| are 4 + 3 < 8, so three vertices are needed; any two
+        # closed neighborhoods inside C5, or inside the path 5-6-7, meet,
+        # so the packing has only 2
+        g = plain_graph(range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                   (0, 5), (5, 6), (6, 7)])
+        assert len(g.component_masks()) == 1
+        assert degree_ceiling(g) == 2
+        assert lower_bound(g) == exhaustive_mids(g).size == 3
+
+    def test_packing_term_with_a_marked_vertex(self):
+        # free path 0-1-2-3-4 with the pendant 5 on 3, and marked 6 on 4:
+        # the dominator sets N_F(6) = {4}, N_F[0] = {0, 1} and
+        # N_F[5] = {3, 5} are pairwise disjoint, so 3 solution vertices;
+        # without the marked vertex the packing finds 2, and the degree
+        # sequence 4 + 3 >= 7 gives 2, as does ceil(7 / 4)
+        g = from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6)],
+                       marked=[6])
+        assert len(g.component_masks()) == 1
+        assert degree_ceiling(g) == 2
         assert lower_bound(g) == exhaustive_mids(g).size == 3
 
     def test_counts_marked_vertices_of_one_component(self):
-        # free path 0-1-2 with marked 3 on 0 and marked 4 on 2, so
-        # ceil((3 + 2) / (3 + 1)) with vertex 2 of degree 3; marked 5 reaches
-        # 2 and the free vertex 6 of another component, so it is in neither
-        # term, and {6} adds 1
+        # free path 0-1-2 with marked 3 on 0 and marked 4 on 2, whose
+        # dominator sets {0} and {2} are disjoint, so 2 for the path; marked
+        # 5 reaches 2 and the free vertex 6 of another component, so it is
+        # in neither term, and {6} adds 1
         g = from_edges([(0, 1), (1, 2), (0, 3), (2, 4), (2, 5), (5, 6)],
                        marked=[3, 4, 5])
         assert lower_bound(g) == 2 + 1
