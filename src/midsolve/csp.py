@@ -6,15 +6,14 @@ exactly one vertex per clique.  This becomes a CSP with one variable per
 clique (values = positions within the clique) and, per marked vertex, one
 "at least one of these (variable, value) literals holds" constraint.
 
-Domains of size 3 and 4 are split into halves, and the product of the
-halves gives the binary-domain subinstances, each built by one restriction
-(a singleton half fixes its variable and is propagated).  They are solved
-by chronological backtracking with unit propagation.
+Domains of size 3 and 4 are split into halves.  The choices of a half per
+variable are walked depth first, each restricting the constraints, and a
+prefix that empties a constraint is cut.  Each binary-domain leaf is solved
+by backtracking with unit propagation, up to the first satisfiable one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,12 +32,10 @@ Literal = tuple[int, int]  # (variable index, value)
 class CspInstance:
     """Finite-domain variables with disjunctive literal constraints.
 
-    ``domains[i]`` is the ordered tuple of values variable i may take; each
-    constraint is a set of literals of which at least one must hold.  A
-    constraint with no literals is unsatisfiable.  Every literal names a
-    variable in ``range(len(domains))``; its value may lie outside the
-    variable's domain, in which case the literal is false.
-    """
+    ``domains[i]`` is the ordered tuple of values variable i may take; at
+    least one literal of each constraint must hold, so an empty constraint
+    is unsatisfiable.  A literal names a variable in ``range(len(domains))``
+    and is false if its value lies outside that variable's domain."""
 
     domains: tuple[tuple[int, ...], ...]
     constraints: tuple[frozenset, ...]
@@ -58,9 +55,8 @@ class CspInstance:
 
     @classmethod
     def _build(cls, domains: tuple, constraints: tuple) -> "CspInstance":
-        """Internal constructor without the checks, for a restriction of an
-        instance already checked: its domains are non-empty parts of the
-        checked ones and its constraints subsets of the checked ones."""
+        """Internal constructor without the checks, for a restriction of a
+        checked instance (parts of its domains, subsets of its constraints)."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "domains", domains)
         object.__setattr__(inst, "constraints", constraints)
@@ -114,37 +110,40 @@ def encode(g: MarkedGraph) -> tuple[CspInstance, CliqueEncoding]:
 # Domain splitting
 
 
-def split_to_binary(inst: CspInstance) -> list[CspInstance]:
-    """Equivalent family of instances with all domains of size <= 2.
-
-    Every domain of size > 2 is cut into consecutive pairs (a size-4 domain
-    into two binary halves, a size-3 one into a binary half and a singleton).
-    One subinstance per choice of a part for each such variable, in
-    ``itertools.product`` order over ascending variables, is built by one
-    restriction: a constraint that a fixed singleton satisfies is dropped,
-    and every other constraint loses the literals the choice rules out (all
-    literals of a fixed variable, the others' values outside their part).
-    The union of the family's solution sets equals the input's.
-    """
+def _split(inst: CspInstance, cut: bool):
+    """Leaves of the domain split, depth first in ``itertools.product`` order
+    over ascending variables.  Each choice restricts what its prefix left: a
+    constraint a fixed singleton satisfies is dropped, the others lose the
+    ruled-out literals.  ``cut`` drops each prefix that empties a constraint."""
     used = frozenset().union(*inst.constraints)
-    parts = []  # per wide variable: (var, part, literals the part rules out)
-    for var, dom in enumerate(inst.domains):
-        if len(dom) > 2:
-            pairs = [dom[k:k + 2] for k in range(0, len(dom), 2)]
-            parts.append([(var, part, {lit for lit in used if lit[0] == var
-                                       and (len(part) == 1 or lit[1] not in part)})
-                          for part in pairs])
-    out = []
-    for choice in itertools.product(*parts):
-        domains = list(inst.domains)
-        for var, part, _ in choice:
-            domains[var] = part
-        satisfied = {(var, part[0]) for var, part, _ in choice if len(part) == 1}
-        ruled_out = set().union(*(dead for _, _, dead in choice))
-        out.append(CspInstance._build(tuple(domains),
-                                      tuple(c - ruled_out for c in inst.constraints
-                                            if satisfied.isdisjoint(c))))
-    return out
+    parts = [[(var, part, (var, part[0]) if len(part) == 1 else None,  # fixed literal
+               {(v, x) for v, x in used if v == var and x not in part})
+              for part in (dom[k:k + 2] for k in range(0, len(dom), 2))]
+             for var, dom in enumerate(inst.domains) if len(dom) > 2]
+    if not parts:
+        yield inst
+    domains = list(inst.domains)
+    stack = [(inst.constraints, iter(parts[0]))] if parts else []
+    while stack:  # per open level: the constraints its prefix left, its untried parts
+        constraints, choices = stack[-1]
+        for var, domains[var], fixed, dead in choices:
+            sub = tuple(c - dead for c in constraints if fixed not in c)
+            if cut and not all(sub):
+                continue
+            if len(stack) == len(parts):
+                yield CspInstance._build(tuple(domains), sub)
+            else:
+                stack.append((sub, iter(parts[len(stack)])))
+                break
+        else:
+            stack.pop()
+
+
+def split_to_binary(inst: CspInstance) -> list[CspInstance]:
+    """Every leaf of the split, none cut: instances with all domains of size
+    <= 2 whose solution sets unite to the input's.  A size-4 domain gives two
+    binary halves, a size-3 one a binary half and a singleton."""
+    return list(_split(inst, cut=False))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +227,11 @@ def solve_clique_union(g: MarkedGraph) -> Solution:
 
     Every free clique contributes exactly one solution vertex, so any
     feasible solution has size equal to the number of cliques; the CSP
-    decides whether the marked vertices can all be dominated.
-    """
+    decides whether the marked vertices can all be dominated.  Leaves of the
+    cut split are solved as the walk reaches them; the first satisfiable one
+    is the first satisfiable member of ``split_to_binary``."""
     inst, enc = encode(g)
-    for sub in split_to_binary(inst):
+    for sub in _split(inst, cut=True):
         assignment = solve_binary(sub)
         if assignment is not None:
             witness = enc.decode(assignment)

@@ -1,5 +1,6 @@
 """Shared graph constructions for the test suite."""
 
+import random
 from itertools import combinations
 
 from midsolve.graph import MarkedGraph, plain_graph
@@ -60,3 +61,30 @@ def seeded_marked_graphs():
         n = 4 + seed % 5
         yield mark_random(gen_random(n, 0.1 + (seed % 7) * 0.07, seed),
                           0.25, seed + 10_000)
+
+
+def random_clique_union(seed):
+    """Seeded clique union of acceptance criterion 2: free cliques of 1-4
+    vertices, at most 12 free in all, and up to 6 marked vertices with up
+    to 4 free neighbours each, or none."""
+    rnd = random.Random(seed)
+    vid = 1
+    free, edges = set(), []
+    while True:
+        size = rnd.randint(1, 4)
+        if len(free) + size > 12:
+            break
+        members = list(range(vid, vid + size))
+        vid += size
+        free |= set(members)
+        edges += list(combinations(members, 2))
+        if rnd.random() < 0.3:
+            break
+    marked = set()
+    for _ in range(rnd.randint(0, 6)):
+        m = vid
+        vid += 1
+        marked.add(m)
+        targets = rnd.sample(sorted(free), rnd.randint(0, min(4, len(free))))
+        edges += [(m, t) for t in targets]
+    return MarkedGraph(free, marked, edges)

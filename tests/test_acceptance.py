@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from conftest import connected_labeled_graphs, seeded_marked_graphs
+from conftest import (connected_labeled_graphs, random_clique_union,
+                      seeded_marked_graphs)
 from midsolve.analysis import (REFERENCE_WEIGHTS, TIGHT_LABELS, WeightVector,
                                audit_weights, optimize_weights,
                                recurrence_catalog)
@@ -67,30 +68,6 @@ def test_oracle_equivalence(scorecard):
     assert checked == 500
 
 
-def _random_clique_union(seed):
-    rnd = random.Random(seed)
-    vid = 1
-    free, edges = set(), []
-    while True:
-        size = rnd.randint(1, 4)
-        if len(free) + size > 12:
-            break
-        members = list(range(vid, vid + size))
-        vid += size
-        free |= set(members)
-        edges += list(itertools.combinations(members, 2))
-        if rnd.random() < 0.3:
-            break
-    marked = set()
-    for _ in range(rnd.randint(0, 6)):
-        m = vid
-        vid += 1
-        marked.add(m)
-        targets = rnd.sample(sorted(free), rnd.randint(0, min(4, len(free))))
-        edges += [(m, t) for t in targets]
-    return MarkedGraph(free, marked, edges)
-
-
 def _enumerate_assignments(inst):
     for combo in itertools.product(*inst.domains):
         assignment = dict(enumerate(combo))
@@ -102,7 +79,7 @@ def _enumerate_assignments(inst):
 @criterion("2 (csp endgame equivalence)")
 def test_csp_endgame_equivalence(scorecard):
     for seed in range(300):
-        g = _random_clique_union(seed)
+        g = random_clique_union(seed)
         got = solve_clique_union(g)
         ref = exhaustive_mids(g)
         ok = got.feasible == ref.feasible and got.size == ref.size \

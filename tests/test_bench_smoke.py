@@ -1,7 +1,7 @@
-"""Smoke tests of the benchmark: one pass of the search-plain workload with
-every cross-module target wrapped by name, and one untraced pass each of
-the search-marked and clique-endgame workloads, whose results the harness
-checks against its frozen answers."""
+"""Smoke tests of the benchmark: one pass each of the search-plain and
+clique-endgame workloads with every cross-module target wrapped by name,
+and one untraced pass each of the search-marked and clique-endgame
+workloads, whose results the harness checks against its frozen answers."""
 
 import json
 import subprocess
@@ -35,3 +35,9 @@ def test_clique_endgame_run_is_correct():
     # marked clique unions, feasible and infeasible: each solve is one CSP
     # endgame node, checked against the frozen sizes and with check_ids
     assert run_bench("clique-endgame", 0)["correct"] is True
+
+
+def test_traced_clique_endgame_run_is_correct():
+    # the same instances with the csp layer traced: the wrappers count the
+    # endgame's solve_binary calls and must not turn a solve into a failure
+    assert run_bench("clique-endgame", 1)["correct"] is True

@@ -1,13 +1,17 @@
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete, from_edges, path
+from conftest import complete, from_edges, path, random_clique_union
 from midsolve.csp import (CliqueEncoding, CspError, CspInstance, encode,
                           solve_binary, solve_clique_union, split_to_binary)
 from midsolve.graph import MarkedGraph, plain_graph
 from midsolve.oracle import check_ids, exhaustive_mids
+from midsolve.solution import INFEASIBLE, Solution
+from midsolve.solver import solve
 
 
 def brute_force_assignments(inst):
@@ -19,6 +23,94 @@ def brute_force_assignments(inst):
                for c in inst.constraints):
             out.append(assignment)
     return out
+
+
+@st.composite
+def csp_instances(draw, spill=0):
+    """1-6 variables with domains of size 1-4 and up to 6 constraints of 0-4
+    literals each; a literal's value may exceed its domain by ``spill``."""
+    n = draw(st.integers(1, 6))
+    domains = tuple(tuple(range(1, draw(st.integers(1, 4)) + 1))
+                    for _ in range(n))
+    literal = st.integers(0, n - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(1, len(domains[i]) + spill)))
+    constraints = draw(st.lists(st.frozensets(literal, max_size=4), max_size=6))
+    return CspInstance(domains, tuple(constraints))
+
+
+def product_split(inst):
+    """The split built all at once, one restriction per member of the
+    product of the parts: the family the depth-first walk must reproduce."""
+    used = frozenset().union(*inst.constraints)
+    parts = []
+    for var, dom in enumerate(inst.domains):
+        if len(dom) > 2:
+            parts.append([(var, part, {lit for lit in used if lit[0] == var
+                                       and (len(part) == 1 or lit[1] not in part)})
+                          for part in (dom[k:k + 2] for k in range(0, len(dom), 2))])
+    out = []
+    for choice in itertools.product(*parts):
+        domains = list(inst.domains)
+        for var, part, _ in choice:
+            domains[var] = part
+        satisfied = {(var, part[0]) for var, part, _ in choice if len(part) == 1}
+        ruled_out = set().union(*(dead for _, _, dead in choice))
+        out.append(CspInstance(tuple(domains),
+                               tuple(c - ruled_out for c in inst.constraints
+                                     if satisfied.isdisjoint(c))))
+    return out
+
+
+def eager_endgame(g):
+    """The endgame as one pass over the whole split: the first satisfiable
+    member of ``split_to_binary``, none cut."""
+    inst, enc = encode(g)
+    for sub in split_to_binary(inst):
+        assignment = solve_binary(sub)
+        if assignment is not None:
+            witness = enc.decode(assignment)
+            return Solution.found(len(witness), witness)
+    return INFEASIBLE
+
+
+def clique_union_of(inst):
+    """The marked graph that ``encode`` maps to ``inst`` (every literal in
+    its domain): clique i has one vertex per value, in value order, and
+    constraint j is a marked vertex adjacent to its literals' vertices."""
+    vertex = {lit: v for v, lit in enumerate(
+        (i, val) for i, dom in enumerate(inst.domains) for val in dom)}
+    edges = [(vertex[i, a], vertex[i, b]) for i, dom in enumerate(inst.domains)
+             for a, b in itertools.combinations(dom, 2)]
+    marked = range(len(vertex), len(vertex) + len(inst.constraints))
+    edges += [(m, vertex[lit]) for m, c in zip(marked, inst.constraints)
+              for lit in c]
+    return MarkedGraph(range(len(vertex)), marked, edges)
+
+
+def bench_clique_union(k, marked, seed):
+    """``clique_union(k, marked, seed)`` of the benchmark's clique-endgame
+    pool (perfbench/workloads.py), rebuilt from the same random stream: k
+    disjoint 3- or 4-cliques and marked vertices that each see one vertex
+    of 3 or 4 distinct cliques."""
+    rng = random.Random(seed)
+    edges, cliques, v = [], [], 1
+    for _ in range(k):
+        clique = list(range(v, v + 3 + int(rng.random() * 2)))
+        v += len(clique)
+        cliques.append(clique)
+        edges += itertools.combinations(clique, 2)
+    free, marks = range(1, v), []
+    for _ in range(marked):
+        items, r = list(range(k)), 3 + int(rng.random() * 2)
+        for i in range(r):  # r distinct cliques, drawn with rng.random() only
+            j = i + int(rng.random() * (k - i))
+            items[i], items[j] = items[j], items[i]
+        for c in items[:r]:
+            clique = cliques[c]
+            edges.append((clique[int(rng.random() * len(clique))], v))
+        marks.append(v)
+        v += 1
+    return MarkedGraph(free, marks, edges)
 
 
 class TestInstanceValidation:
@@ -170,6 +262,17 @@ class TestSplitToBinary:
             (frozenset(), other_half, binary_only),
             (frozenset({(1, 3)}), frozenset({(2, 2)}), binary_only)]
 
+    def test_returns_a_list(self):
+        # the traced benchmark counts the family with len()
+        inst = CspInstance(((1, 2, 3), (1, 2, 3, 4)), (frozenset(),))
+        assert type(split_to_binary(inst)) is list
+
+    @given(csp_instances(spill=1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_family_as_the_product_split(self, inst):
+        # same members, in the same order, with the same constraint tuples
+        assert split_to_binary(inst) == product_split(inst)
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_solution_sets_preserved(self, data):
@@ -295,3 +398,38 @@ class TestSolveCliqueUnion:
         assert sol.size == ref.size
         if sol.feasible:
             assert check_ids(g, sol.witness)
+
+    @pytest.mark.parametrize("k", [40, 1000])
+    def test_disjoint_triangles_one_endgame_node(self, k):
+        # the whole split has 2^k members; the walk reaches a satisfiable
+        # leaf after k choices, on an explicit stack
+        g = plain_graph(range(3 * k), [(3 * i + a, 3 * i + b) for i in range(k)
+                                       for a, b in ((0, 1), (0, 2), (1, 2))])
+        limit = sys.getrecursionlimit()
+        sol, stats = solve(g)
+        assert sol.size == k and check_ids(g, sol.witness)
+        assert stats.nodes == 1 and stats.case_counts == {"csp_endgame": 1}
+        assert sys.getrecursionlimit() == limit
+
+
+class TestWalkMatchesEagerEndgame:
+    """Feasibility, size and witness of the depth-first walk against the
+    first satisfiable member of the whole split."""
+
+    def test_criterion_2_clique_unions(self):
+        for seed in range(300):
+            g = random_clique_union(seed)
+            assert solve_clique_union(g) == eager_endgame(g), seed
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_benchmark_clique_unions(self, seed):
+        g = bench_clique_union(12, 36, seed)
+        assert solve_clique_union(g) == eager_endgame(g)
+
+    @given(csp_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_csp_instances(self, inst):
+        # constraints may start empty: a marked vertex with no free neighbour
+        g = clique_union_of(inst)
+        assert encode(g)[0] == inst
+        assert solve_clique_union(g) == eager_endgame(g)
