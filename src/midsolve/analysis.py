@@ -6,7 +6,11 @@ vertices.  Each branching rule guarantees a minimum measure decrease per
 child, recorded in a data-file catalog; the branching factor of a rule is
 the unique tau > 1 with sum(tau**-delta_i) == 1, and the running-time base
 is the maximum factor over the catalog.  Weight optimization is a nested
-grid search over the small admissible (w1, w2) region.
+grid search over the small admissible (w1, w2) region.  It rejects a grid
+vector at the first rule whose factor exceeds the incumbent's, and tries
+that rule first on the next vector; every comparison that picks the
+answer is the one a full audit of each vector would make, so the answer
+is the same as that of the full audit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .graph import select
+from .solution import WeightVector  # re-exported: part of this API
 
 #: Asymptotic growth rate of the lower-bound leaf recurrence
 #: L[k] = L[k-3] + L[k-4] + L[k-5]: the real root of x^5 = x^2 + x + 1.
@@ -25,29 +30,6 @@ LB_GROWTH_RATE = 1.3247179572
 
 class AnalysisError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Degree weights (w1, w2); w0 = 0 and w_i = 1 for i >= 3 are fixed."""
-
-    w1: float
-    w2: float
-
-    def is_admissible(self) -> bool:
-        # 0 <= w1 <= w2 <= 1 and decreasing increments:
-        # w1 - w0 >= w2 - w1 >= 1 - w2
-        return (0.0 <= self.w1 <= self.w2 <= 1.0
-                and self.w1 >= self.w2 - self.w1 >= 1.0 - self.w2)
-
-    def for_degree(self, d: int) -> float:
-        if d <= 0:
-            return 0.0
-        if d == 1:
-            return self.w1
-        if d == 2:
-            return self.w2
-        return 1.0
 
 
 REFERENCE_WEIGHTS = WeightVector(0.8482, 0.9685)
@@ -95,10 +77,11 @@ def branching_factor(r: Recurrence, w: WeightVector) -> float:
         return r.multiplicity ** (1.0 / deltas[0])
     if len(deltas) == 1:
         return 1.0
+    exponents = [-d for d in deltas]
     lo, hi = 1.0 + 1e-12, 64.0
     while hi - lo > 1e-9:
         mid = (lo + hi) / 2
-        if sum(mid ** -d for d in deltas) > 1.0:
+        if sum([mid ** e for e in exponents]) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -138,6 +121,8 @@ def audit_weights(w: WeightVector,
     if catalog is None:
         catalog = recurrence_catalog()
     factors = [(branching_factor(r, w), r.label) for r in catalog]
+    if not factors:
+        raise AnalysisError("empty recurrence catalog")
     max_factor = max(f for f, _ in factors)
     worst = tuple(label for f, label in factors if f >= max_factor - 1e-9)
     return max_factor, worst
@@ -156,18 +141,36 @@ def optimize_weights(catalog: Optional[Sequence[Recurrence]] = None) -> WeightVe
     """Best admissible weights by nested grid refinement.
 
     Ties go to the lexicographically smallest (w1, w2) pair so the result is
-    deterministic.
+    deterministic.  A vector is rejected at the first rule whose factor
+    exceeds the incumbent's by more than the tie tolerance, since its
+    maximum would lose the comparison anyway; that rule moves to the front
+    of a private copy of the catalog, so the next vector usually fails on
+    it at once.  A vector that passes every rule gets its exact maximum, and
+    until there is an incumbent every rule is audited, so the grid, the
+    comparisons and the answer are those of a full audit per vector.  The
+    caller's catalog is iterated once and left as it was.
     """
-    if catalog is None:
-        catalog = recurrence_catalog()
+    rules = list(recurrence_catalog() if catalog is None else catalog)
+    if not rules:
+        raise AnalysisError("empty recurrence catalog")
 
-    def objective(w: WeightVector) -> float:
+    def objective(w: WeightVector, bound: float) -> float:
+        """Maximum factor of w over the rules; inf if w is inadmissible, if
+        a rule's factor is undefined at w, or at the first factor above
+        bound."""
         if not w.is_admissible():
             return float("inf")
+        worst = 0.0
         try:
-            return audit_weights(w, catalog)[0]
+            for i, r in enumerate(rules):
+                f = branching_factor(r, w)
+                if f > bound:
+                    rules.insert(0, rules.pop(i))
+                    return float("inf")
+                worst = max(worst, f)
         except AnalysisError:
             return float("inf")
+        return worst
 
     best_w = None
     best_f = float("inf")
@@ -176,14 +179,13 @@ def optimize_weights(catalog: Optional[Sequence[Recurrence]] = None) -> WeightVe
         for w2 in _grid(lo2, hi2, step):
             for w1 in _grid(max(lo1, w2 / 2), min(hi1, w2), step):
                 w = WeightVector(round(w1, 6), round(w2, 6))
-                f = objective(w)
+                f = objective(w, best_f + 1e-12)
                 if f < best_f - 1e-12 or (abs(f - best_f) <= 1e-12
                                           and (best_w is None or (w.w1, w.w2) < (best_w.w1, best_w.w2))):
                     best_f, best_w = f, w
+        if best_w is None:
+            raise AnalysisError("no admissible weight vector found")
         # refine around the incumbent
         lo1, hi1 = best_w.w1 - 2 * step, best_w.w1 + 2 * step
         lo2, hi2 = max(2.0 / 3.0, best_w.w2 - 2 * step), min(1.0, best_w.w2 + 2 * step)
-    if best_w is None:
-        raise AnalysisError("no admissible weight vector found")
     return best_w
-

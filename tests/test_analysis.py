@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from conftest import complete, cycle, path, star
+from midsolve import analysis
 from midsolve.analysis import (LB_GROWTH_RATE, REFERENCE_WEIGHTS, TIGHT_LABELS,
                                AnalysisError, Recurrence, WeightVector,
                                audit_weights, branching_factor, measure,
@@ -140,6 +142,10 @@ class TestAudit:
         assert max_factor == pytest.approx(2.0, abs=1e-8)
         assert worst == ("a",)
 
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(AnalysisError, match="empty"):
+            audit_weights(REFERENCE_WEIGHTS, [])
+
 
 class TestOptimize:
     def test_recovers_reference_region(self):
@@ -155,6 +161,88 @@ class TestOptimize:
         opt, _ = audit_weights(w)
         ref, _ = audit_weights(REFERENCE_WEIGHTS)
         assert opt <= ref + 1e-5
+
+    def test_frozen_weights(self):
+        assert optimize_weights() == WeightVector(0.841033, 0.968467)
+
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(AnalysisError, match="empty"):
+            optimize_weights([])
+
+    def test_no_admissible_vector_rejected(self):
+        # the zero branch makes every vector's audit fail in the first stage
+        with pytest.raises(AnalysisError, match="no admissible weight vector"):
+            optimize_weights([Recurrence("z", ((0, 0, 0), (1, 0, 0)))])
+
+
+def full_audit_optimize(catalog):
+    """The optimizer as it was before early rejection: every admissible
+    vector gets a full ``audit_weights``.  Kept as the reference that the
+    early-exit walk must agree with."""
+    def objective(w):
+        if not w.is_admissible():
+            return float("inf")
+        try:
+            return audit_weights(w, catalog)[0]
+        except AnalysisError:
+            return float("inf")
+
+    best_w = None
+    best_f = float("inf")
+    lo1, hi1, lo2, hi2 = 0.0, 1.0, 2.0 / 3.0, 1.0
+    for step in analysis.OPTIMIZE_STEPS:
+        for w2 in analysis._grid(lo2, hi2, step):
+            for w1 in analysis._grid(max(lo1, w2 / 2), min(hi1, w2), step):
+                w = WeightVector(round(w1, 6), round(w2, 6))
+                f = objective(w)
+                if f < best_f - 1e-12 or (abs(f - best_f) <= 1e-12
+                                          and (best_w is None or (w.w1, w.w2) < (best_w.w1, best_w.w2))):
+                    best_f, best_w = f, w
+        lo1, hi1 = best_w.w1 - 2 * step, best_w.w1 + 2 * step
+        lo2, hi2 = max(2.0 / 3.0, best_w.w2 - 2 * step), min(1.0, best_w.w2 + 2 * step)
+    return best_w
+
+
+def shuffled_catalog(seed):
+    catalog = recurrence_catalog()
+    random.Random(seed).shuffle(catalog)
+    return catalog
+
+
+#: A rule whose first branch, 3 w1 - 2 w2, is nonpositive on part of the
+#: admissible region, so its audit raises there.
+RAISING_RULE = Recurrence("raises", ((3, -2, 0), (0, 0, 2)))
+
+#: Factor 2 wherever w1 + w2 >= 1.5, so many grid vectors tie at the
+#: optimum, and the tie-break winner (least w1, at w2 near 1) is visited
+#: after other tied vectors in earlier rows.
+PLATEAU = [Recurrence("flat", ((0, 0, 1), (0, 0, 1))),
+           Recurrence("edge", ((2, 2, -2), (2, 2, -2)))]
+
+
+class TestOptimizeMatchesFullAudit:
+    @pytest.fixture(autouse=True)
+    def coarse_grid(self, monkeypatch):
+        # two coarse stages keep the reference runs near 1 s in all
+        monkeypatch.setattr(analysis, "OPTIMIZE_STEPS", (0.05, 0.01))
+
+    @pytest.mark.parametrize("catalog", [
+        recurrence_catalog(),
+        *(shuffled_catalog(s) for s in (1, 2, 3)),
+        recurrence_catalog() + [RAISING_RULE],
+        PLATEAU,
+    ], ids=["packaged", "shuffle-1", "shuffle-2", "shuffle-3", "raising-rule",
+            "plateau"])
+    def test_same_vector(self, catalog):
+        before = list(catalog)
+        assert optimize_weights(catalog) == full_audit_optimize(catalog)
+        assert catalog == before
+
+    def test_raising_rule_raises_on_part_of_the_region(self):
+        w = WeightVector(0.5, 0.9)
+        assert w.is_admissible()
+        with pytest.raises(AnalysisError, match="raises"):
+            branching_factor(RAISING_RULE, w)
 
 
 class TestLbRecurrence:

@@ -165,6 +165,10 @@ class TestAnalyze:
         assert rc == EXIT_OK
         assert "optimized: w1=" in out
 
+    def test_optimize_prints_frozen_weights(self, capsys):
+        assert main(["analyze", "--optimize"]) == EXIT_OK
+        assert "optimized: w1=0.841033 w2=0.968467" in capsys.readouterr().out
+
 
 class TestLbTrace:
     def test_trace_range(self, capsys):
