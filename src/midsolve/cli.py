@@ -20,7 +20,7 @@ from .analysis import (REFERENCE_WEIGHTS, WeightVector, audit_weights,
                        branching_factor, optimize_weights, recurrence_catalog)
 from .instances import (InstanceFormatError, gen_random, mark_random,
                         read_graph)
-from .lb_trace import trace
+from .lb_trace import growth_rows, trace
 from .oracle import (OracleError, check_ids, exhaustive_mids,
                      mis_enumeration_mids)
 from .solver import PRUNED, SolverError, solve
@@ -136,9 +136,9 @@ def cmd_lbtrace(args) -> int:
                       case9_only=rep.case9_only_above_4,
                       shapes_ok=rep.candidate_shapes_ok,
                       removals_ok=rep.child_removals_ok))
-    print("leaf growth:")  # the rows ``leaf_growth`` gives, from the traced runs
-    for l, (prev, n) in enumerate(zip([None] + leaves, leaves), args.l_min):
-        ratio = f"{n / prev:.4f}" if prev else "-"
+    print("leaf growth:")
+    for l, n, ratio in growth_rows(args.l_min, leaves):
+        ratio = "-" if ratio is None else f"{ratio:.4f}"
         print(f"  l={l:<3} leaves={n:<8} ratio={ratio}")
     return EXIT_OK
 

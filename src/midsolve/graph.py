@@ -20,9 +20,10 @@ marked vertex builds a new relabelling instead.
 
 The solver, the CSP encoding and the measure work on the masks:
 ``degrees``, ``component_masks``, ``non_cliques``, ``bipartite_sides``,
-``is_clique_mask``, ``child`` and ``base.adj``, read through ``bits`` and
-``select``.  Identifiers appear only at the public methods, which decode
-from the masks, in witnesses and in error messages.  The lowest set bit is
+``is_clique_mask``, ``child``, ``base.adj`` and ``base.closed``, read
+through ``bits`` and ``select``.  Identifiers appear only at the public
+methods, which decode from the masks, in the witnesses the solver decodes
+once at its root and in error messages.  The lowest set bit is
 the smallest identifier, so scanning a mask upward visits vertices in
 ascending identifier order, the order every tie-break of the solver uses.
 """
@@ -72,16 +73,18 @@ class Relabelling:
     """Dense order-preserving relabelling of a vertex set, with adjacency.
 
     ``ids[i]`` is the i-th smallest identifier, ``index`` maps it back to
-    i, and ``adj[i]`` is the adjacency bitmask of index i.  Immutable and
-    shared by a graph and every induced subgraph built from it.
+    i, ``adj[i]`` is the adjacency bitmask of index i and ``closed[i]``
+    its closed neighborhood, ``adj[i] | 1 << i``.  Immutable and shared by
+    a graph and every induced subgraph built from it.
     """
 
-    __slots__ = ("ids", "index", "adj")
+    __slots__ = ("ids", "index", "adj", "closed")
 
     def __init__(self, ids: tuple, index: dict, adj: tuple):
         self.ids = ids
         self.index = index
         self.adj = adj
+        self.closed = tuple([a | 1 << i for i, a in enumerate(adj)])
 
     def mask(self, vs: Iterable[int]) -> int:
         """Bitmask of the given identifiers, all of which must be known."""

@@ -96,11 +96,11 @@ def leaf_growth(l_min: int, l_max: int) -> list[tuple[int, int, Optional[float]]
     """Leaf counts of the traced runs and their consecutive ratios."""
     if not 3 <= l_min < l_max:
         raise ValueError(f"need 3 <= l_min < l_max, got {l_min}, {l_max}")
-    rows: list[tuple[int, int, Optional[float]]] = []
-    prev = None
-    for l in range(l_min, l_max + 1):
-        _, stats = solve(gen_lower_bound(l), prune=False)
-        ratio = stats.leaves / prev if prev else None
-        rows.append((l, stats.leaves, ratio))
-        prev = stats.leaves
-    return rows
+    return growth_rows(l_min, [solve(gen_lower_bound(l), prune=False)[1].leaves
+                               for l in range(l_min, l_max + 1)])
+
+
+def growth_rows(l_min: int, leaves: list) -> list[tuple[int, int, Optional[float]]]:
+    """Rows ``(l, leaves, ratio to the count before or None)`` from l_min."""
+    return [(l, n, n / prev if prev else None)
+            for l, (prev, n) in enumerate(zip([None, *leaves], leaves), l_min)]

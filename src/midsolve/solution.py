@@ -4,8 +4,9 @@ degree weights the analysis optimizer returns.
 
 A marked graph may have no independent dominating set at all (e.g. a marked
 vertex with no free neighbor), so results are either a witness set with its
-size or the explicit ``INFEASIBLE`` value.  Using an explicit variant instead
-of a large sentinel number keeps minimum computations honest.
+size or the explicit ``INFEASIBLE`` value rather than a large sentinel
+number.  The solver's search compares witness masks, ``None`` when
+infeasible, and builds one ``Solution`` at its root.
 """
 
 from __future__ import annotations
@@ -30,16 +31,6 @@ class Solution:
             raise ValueError(f"witness size {len(w)} != reported size {size}")
         return Solution(size, w)
 
-    def plus(self, extra: Iterable[int]) -> "Solution":
-        """Add committed vertices on the way out of a branch.
-
-        Adding to an infeasible result stays infeasible.
-        """
-        if not self.feasible:
-            return INFEASIBLE
-        extra = frozenset(extra)
-        return Solution(self.size + len(extra), self.witness | extra)
-
     def __repr__(self) -> str:
         if not self.feasible:
             return "Infeasible"
@@ -47,16 +38,6 @@ class Solution:
 
 
 INFEASIBLE = Solution(None, None)
-
-
-def better(current: Solution, challenger: Solution) -> Solution:
-    """Minimum by size; infeasible is the identity.  Ties keep ``current``,
-    so iterating branches in a fixed order yields a deterministic witness."""
-    if not current.feasible:
-        return challenger
-    if challenger.feasible and challenger.size < current.size:
-        return challenger
-    return current
 
 
 @dataclass

@@ -22,8 +22,9 @@ cover that set (the degree-sequence bound), and at least one for each
 vertex of a set whose dominators are pairwise disjoint (the packing bound).
 ``_lower_bound`` sums the larger of the two over the components, so it is
 never below the number of free components.  Each node gets an exclusive
-upper bound ``ub`` and returns its best solution of size ``< ub``, or
-``INFEASIBLE`` when there is none.  The root has ``ub = k + 1``, where
+upper bound ``ub`` and returns the mask of its best witness of size
+``< ub``, or ``None`` when there is none; only the root's witness is
+decoded to identifiers.  The root has ``ub = k + 1``, where
 ``k`` is the size of a greedy independent dominating set (``ub = inf`` when
 the greedy choice leaves a marked vertex undominated); a child gets
 ``min(ub, best) - j``, where ``best`` is the size of the best solution its
@@ -44,6 +45,7 @@ branching rules preserve it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import accumulate
 from typing import Callable, Optional, Union
@@ -52,7 +54,7 @@ from . import csp
 from .analysis import measure
 from .graph import MarkedGraph, bits, non_cliques, select
 from .oracle import check_ids
-from .solution import INFEASIBLE, SearchStats, Solution, better
+from .solution import INFEASIBLE, SearchStats, Solution
 
 CaseId = Union[int, str]
 
@@ -133,9 +135,9 @@ def _find_case7_triangle(g: MarkedGraph, deg: list) -> Optional[int]:
 def case11_select(g: MarkedGraph, u: int) -> int:
     """Vertex of N_F[u] whose free neighborhood spans at most one edge."""
     adj, free = g.base.adj, g.free_mask
-    for v in bits(adj[u] & free | 1 << u):
+    for v in bits(g.base.closed[u] & free):
         nf = adj[v] & free
-        if sum((adj[w] & nf).bit_count() for w in bits(nf)) // 2 <= 1:
+        if sum((a & nf).bit_count() for a in select(adj, nf)) // 2 <= 1:
             return v
     # unreachable in Case 11
     raise SolverError(f"no sparse-neighborhood vertex around {g.base.ids[u]}")
@@ -152,7 +154,7 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
     number |D & C|:
 
     - Degree sequence: the least k whose k largest values of
-      val(v) = 1 + |N(v) & S|, over v in C, sum to at least |S|.  A vertex
+      val(v) = |N[v] & S|, over v in C, sum to at least |S|.  A vertex
       v of C dominates exactly val(v) vertices of S, so the values of the
       |D & C| vertices of D in C sum to at least |S|, and so do the
       |D & C| largest values.
@@ -169,7 +171,7 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
     their sets S are disjoint, so the terms add: the bound is never below
     the number of free components.
     """
-    adj, free = g.base.adj, g.free_mask
+    adj, closed, free = g.base.adj, g.base.closed, g.free_mask
     owned = [0] * len(comps)  # M_C of each component
     for u in bits(g.marked_mask):
         # a marked vertex has only free neighbors, at least one in a node
@@ -184,12 +186,12 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
     for c, m in zip(comps, owned):
         s = c | m
         need = s.bit_count()
-        vals = sorted([(a & s).bit_count() + 1 for a in select(adj, c)],
+        vals = sorted([(a & s).bit_count() for a in select(closed, c)],
                       reverse=True)
         k = next(i for i, r in enumerate(accumulate(vals), 1) if r >= need)
         packed = used = 0
         # N[v] & C is N_F[v] for a free v of S and N_F(v) for a marked one
-        for dom in sorted([(adj[v] | 1 << v) & c for v in bits(s)],
+        for dom in sorted([a & c for a in select(closed, s)],
                           key=int.bit_count):
             if not dom & used:
                 used |= dom
@@ -313,11 +315,11 @@ def _children(g: MarkedGraph, branches):
     the branch commits and the instance left to solve, for each mask
     triple ``(take, mark, drop)`` of ``branches``.  N[take] leaves the
     graph, and the marked and deleted vertices leave the free set."""
-    adj, free, marked = g.base.adj, g.free_mask, g.marked_mask
+    closed, free, marked = g.base.closed, g.free_mask, g.marked_mask
     for take, mark, drop in branches:
-        nbrs = take
-        for v in bits(take):
-            nbrs |= adj[v]
+        nbrs = 0
+        for a in select(closed, take):
+            nbrs |= a
         yield take, g.child(free & ~(nbrs | mark | drop), (marked | mark) & ~nbrs)
 
 
@@ -328,15 +330,24 @@ def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
     It repeatedly takes the undominated free vertex that dominates the most
     undominated vertices, the smallest identifier on ties; every free vertex
     is then dominated, and the result is kept only if ``check_ids`` passes.
+    A heap on ``(-gain, index)`` holds the candidates; gains only fall, so
+    each stored gain (at first the vertex count) bounds the current one: an
+    entry popped with its current gain is the pick, a stale one goes back.
     """
-    adj = g.base.adj
-    undominated = g.free_mask | g.marked_mask
+    closed, free = g.base.closed, g.free_mask
+    undominated = free | g.marked_mask
+    heap = [(-undominated.bit_count(), v) for v in bits(free)]  # sorted: a heap
     chosen = 0
-    while g.free_mask & undominated:
-        v = max(bits(g.free_mask & undominated),
-                key=lambda v: (adj[v] & undominated).bit_count())
-        chosen |= 1 << v
-        undominated &= ~(adj[v] | 1 << v)
+    while heap:
+        gain, v = heapq.heappop(heap)
+        if not undominated >> v & 1:
+            continue  # dominated: never a candidate again
+        now = -(closed[v] & undominated).bit_count()
+        if now != gain:
+            heapq.heappush(heap, (now, v))
+        else:
+            chosen |= 1 << v
+            undominated &= ~closed[v]
     ids = g.base.decode(chosen)
     return ids if check_ids(g, ids) else None
 
@@ -378,7 +389,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     """
     _check_marked_degrees(g, "input contract violated: ")
     stats = SearchStats()
-    # open nodes, root first: [graph, case, children, ub, best, current child's take mask]
+    # open nodes, root first: [graph, case, children, ub, best, current take]
     stack: list = []
     # an incumbent of size k lets the root look for solutions of size <= k:
     # the first optimum in search order, paper mode's witness, is still found
@@ -395,24 +406,28 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
             _check_marked_degrees(node)
         if case in (EMPTY, 1, PRUNED, CSP_ENDGAME):
             stats.leaves += 1
-            sol = (Solution.found(0, ()) if case == EMPTY else
-                   csp.solve_clique_union(node) if case == CSP_ENDGAME else INFEASIBLE)
-        else:  # handing INFEASIBLE to the node just opened keeps its best
-            stack.append([node, case, _children(node, branches), ub, INFEASIBLE, 0])
-            sol = INFEASIBLE
+            sol = 0 if case == EMPTY else None
+            if case == CSP_ENDGAME and (found := csp.solve_clique_union(node)).feasible:
+                sol = node.base.mask(found.witness)
+        else:  # handing None to the node just opened keeps its best
+            stack.append([node, case, _children(node, branches), ub, None, 0])
+            sol = None
         # hand sol up, closing each node whose children are all solved
         while stack:
             frame = stack[-1]
             parent, parent_case, children, parent_ub, best, taken = frame
-            if sol.feasible:  # lift it by the identifiers its branch took
-                best = frame[4] = better(best, sol.plus(parent.base.decode(taken)))
+            if sol is not None:  # lift it by its branch's vertices; ties keep best
+                sol |= taken
+                if best is None or sol.bit_count() < best.bit_count():
+                    best = frame[4] = sol
             taken, node = next(children, (0, None))
             if node is not None:
                 break
             stack.pop()
             sol = best
-        else:
-            return sol, stats
+        else:  # the root's result, decoded once
+            return (INFEASIBLE if sol is None else
+                    Solution(sol.bit_count(), g.base.decode(sol))), stats
         if assert_mode:
             if node.free_mask.bit_count() >= parent.free_mask.bit_count():
                 raise SolverError("child does not shrink the free vertex set")
@@ -421,5 +436,5 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
                 if drop <= 1e-12:
                     raise SolverError(f"measure did not decrease (drop={drop})")
         frame[5] = taken
-        bound = min(parent_ub, best.size) if prune and best.feasible else parent_ub
+        bound = parent_ub if best is None or not prune else min(parent_ub, best.bit_count())
         ub = bound - taken.bit_count()

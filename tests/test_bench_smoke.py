@@ -1,7 +1,8 @@
 """Smoke tests of the benchmark: one pass each of the search-plain and
 clique-endgame workloads with every cross-module target wrapped by name,
-and one untraced pass each of the search-marked and clique-endgame
-workloads, whose results the harness checks against its frozen answers."""
+and one untraced pass each of the search-marked, clique-endgame and
+weight-optimize workloads, whose results the harness checks against its
+frozen answers."""
 
 import json
 import subprocess
@@ -41,3 +42,9 @@ def test_traced_clique_endgame_run_is_correct():
     # the same instances with the csp layer traced: the wrappers count the
     # endgame's solve_binary calls and must not turn a solve into a failure
     assert run_bench("clique-endgame", 1)["correct"] is True
+
+
+def test_weight_optimize_run_is_correct():
+    # optimize_weights and the reference audit: the analysis layer end to
+    # end, checked against the frozen weights and reference factor
+    assert run_bench("weight-optimize", 0)["correct"] is True

@@ -356,3 +356,22 @@ class TestRelabelling:
             assert g.free_components() == ref.components()
             same = MarkedGraph(ref.free, ref.marked, ref.edges())
             assert g == same and hash(g) == hash(same)
+
+    @given(sparse_id_graph())
+    def test_closed_is_adjacency_plus_self(self, spec):
+        base = MarkedGraph(*spec).base
+        assert len(base.closed) == len(base.adj)
+        for i, a in enumerate(base.adj):
+            assert base.closed[i] == a | 1 << i
+
+    def test_subgraphs_share_closed_unless_a_vertex_is_freed(self):
+        # path 0-1-2-3 with 3 marked
+        g = from_edges([(0, 1), (1, 2), (2, 3)], marked=[3])
+        child = g.child(g.free_mask & ~1, g.marked_mask)
+        marking = g.induced({1}, {0, 2, 3})
+        assert child.base.closed is g.base.closed
+        assert marking.base.closed is g.base.closed
+        # freeing 3 and deleting 0 relabels 1, 2, 3 as indices 0, 1, 2
+        freeing = g.induced({1, 2, 3}, ())
+        assert freeing.base is not g.base
+        assert freeing.base.closed == (0b011, 0b111, 0b110)

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (complete, connected_labeled_graphs, cycle, f_degrees,
                       from_edges, path, plain_graph, seeded_marked_graphs, star)
-from midsolve.graph import MarkedGraph
+from midsolve.graph import MarkedGraph, bits
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
-from midsolve.solution import INFEASIBLE, better
+from midsolve.solution import INFEASIBLE, Solution
 from midsolve.solver import (CSP_ENDGAME, EMPTY, PRUNED, SolverError,
                              _branch_all, _branch_mark, _branch_one,
                              _children, _dispatch, _find_case7_triangle,
@@ -36,10 +36,13 @@ EXPECTED_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "expected
 
 def best_of_children(g, branches):
     """The children of one rule, each solved on its own: the best solution
-    plus the vertices its branch commits."""
+    plus the vertices its branch commits, the earlier branch on ties."""
     best = INFEASIBLE
     for taken, child in _children(g, branches):
-        best = better(best, solve(child)[0].plus(g.base.decode(taken)))
+        sol = solve(child)[0]
+        size = sol.size + taken.bit_count() if sol.feasible else None
+        if size is not None and (not best.feasible or size < best.size):
+            best = Solution.found(size, sol.witness | g.base.decode(taken))
     return best
 
 
@@ -492,6 +495,21 @@ class TestLowerBound:
         assert exhaustive_mids(g).size == 3
 
 
+def rescan_greedy_ids(g):
+    """The greedy incumbent computed by rescanning every undominated free
+    vertex for each pick: the definition ``_greedy_ids`` must match."""
+    adj = g.base.adj
+    undominated = g.free_mask | g.marked_mask
+    chosen = 0
+    while g.free_mask & undominated:
+        v = max(bits(g.free_mask & undominated),
+                key=lambda v: (adj[v] & undominated).bit_count())
+        chosen |= 1 << v
+        undominated &= ~(adj[v] | 1 << v)
+    ids = g.base.decode(chosen)
+    return ids if check_ids(g, ids) else None
+
+
 class TestGreedyIncumbent:
     def test_passes_check_ids_or_is_none(self):
         found = 0
@@ -502,6 +520,18 @@ class TestGreedyIncumbent:
                 assert check_ids(g, incumbent)
                 assert len(incumbent) >= exhaustive_mids(g).size
         assert found > 1000
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_same_picks_as_a_full_rescan(self, marked):
+        found = 0
+        for seed in range(60):
+            g = gen_random(5 + seed * 19 % 96, 0.03 + seed % 5 * 0.04, seed)
+            if marked:
+                g = mark_random(g, 0.1, seed + 1)
+            incumbent = _greedy_ids(g)
+            assert incumbent == rescan_greedy_ids(g)
+            found += incumbent is not None
+        assert found >= 30
 
     def test_none_on_an_infeasible_marked_graph(self):
         # marked 2 needs 0 and marked 3 needs 1, but 0 and 1 are adjacent
