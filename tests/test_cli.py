@@ -110,11 +110,20 @@ class TestOracle:
         assert "agreement: yes" in out
         assert "exhaustive:" in out and "mis-enumeration:" in out
 
-    def test_marked_instance_skips_mis(self, instance_file, capsys):
+    def test_marked_instance_runs_mis(self, instance_file, capsys):
         text = "p mids 3 2\ne 1 2\ne 2 3\nm 3\n"
         rc = main(["oracle", instance_file(text)])
+        out = capsys.readouterr().out
         assert rc == EXIT_OK
-        assert "n/a" in capsys.readouterr().out
+        assert "mis-enumeration: Found(1, [2])" in out
+        assert "agreement: yes" in out
+        # the marked vertex 3 has no free neighbor
+        text = "p mids 3 1\ne 1 2\nm 3\n"
+        rc = main(["oracle", instance_file(text, "infeasible.mids")])
+        out = capsys.readouterr().out
+        assert rc == EXIT_INFEASIBLE
+        assert "mis-enumeration: Infeasible" in out
+        assert "agreement: yes" in out
 
     def test_infeasible_exit_code(self, instance_file):
         assert main(["oracle", instance_file(INFEASIBLE)]) == EXIT_INFEASIBLE
