@@ -3,13 +3,17 @@
 When the free subgraph is a disjoint union of cliques of size at most 4 and
 every marked vertex has at most 4 free neighbors, a solution must pick
 exactly one vertex per clique.  This becomes a CSP with one variable per
-clique (values = positions within the clique) and, per marked vertex, one
-"at least one of these (variable, value) literals holds" constraint.
+clique and, per marked vertex, one "at least one of these values holds"
+constraint.  It runs on the graph's masks: a domain is a clique's vertex
+mask, a value is a vertex bit, a constraint is a marked vertex's free
+neighbourhood, and a solution is the witness mask itself.
 
-Domains of size 3 and 4 are split into halves.  The choices of a half per
-variable are walked depth first, each restricting the constraints, and a
-prefix that empties a constraint is cut.  Each binary-domain leaf is solved
-by backtracking with unit propagation, up to the first satisfiable one.
+Domains of size 3 and 4 are cut into pairs of their lowest bits.  The
+choices of a part per variable are walked depth first, each restricting
+the constraints, and a prefix that empties a constraint is cut.  Each
+binary-domain leaf is solved by backtracking with unit propagation, up to
+the first satisfiable one.  ``CspInstance`` and ``split_to_binary`` state
+the same split on ``(variable, value)`` literals.
 """
 
 from __future__ import annotations
@@ -25,17 +29,15 @@ class CspError(ValueError):
     """Precondition violation in the CSP encoding."""
 
 
-Literal = tuple[int, int]  # (variable index, value)
-
-
 @dataclass(frozen=True)
 class CspInstance:
     """Finite-domain variables with disjunctive literal constraints.
 
     ``domains[i]`` is the ordered tuple of values variable i may take; at
-    least one literal of each constraint must hold, so an empty constraint
-    is unsatisfiable.  A literal names a variable in ``range(len(domains))``
-    and is false if its value lies outside that variable's domain."""
+    least one ``(variable, value)`` literal of each constraint must hold, so
+    an empty constraint is unsatisfiable.  A literal names a variable in
+    ``range(len(domains))`` and is false if its value lies outside that
+    variable's domain."""
 
     domains: tuple[tuple[int, ...], ...]
     constraints: tuple[frozenset, ...]
@@ -53,85 +55,60 @@ class CspInstance:
                 raise CspError(f"constraint scope {sorted(scope)} names a variable "
                                f"outside 0..{len(self.domains) - 1}")
 
-    @classmethod
-    def _build(cls, domains: tuple, constraints: tuple) -> "CspInstance":
-        """Internal constructor without the checks, for a restriction of a
-        checked instance (parts of its domains, subsets of its constraints)."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "domains", domains)
-        object.__setattr__(inst, "constraints", constraints)
-        return inst
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.domains)
+def encode(g: MarkedGraph) -> tuple[list[int], list[int]]:
+    """``(domains, constraints)`` of a clique-union marked graph, as masks.
 
-
-@dataclass(frozen=True)
-class CliqueEncoding:
-    """Decoder: value j of variable i is the j-th vertex of clique i."""
-
-    clique_of: tuple[tuple[int, ...], ...]
-
-    def decode(self, assignment: dict) -> frozenset:
-        return frozenset(self.clique_of[i][assignment[i] - 1]
-                         for i in range(len(self.clique_of)))
-
-
-def encode(g: MarkedGraph) -> tuple[CspInstance, CliqueEncoding]:
-    """CSP instance for a clique-union marked graph.
-
-    Cliques are numbered by smallest member; positions within a clique are
-    ascending vertex identifiers, values 1..|K|.
+    The domains are the free cliques' vertex masks, ordered by smallest
+    member; the values of a domain are its vertex bits, in ascending
+    identifier order.  The constraint of a marked vertex u, in ascending
+    order of u, is ``adj[u] & free``: one of those vertices must be chosen.
     """
     ids, adj, free, marked = g.base.ids, g.base.adj, g.free_mask, g.marked_mask
     comps, deg = g.component_masks(), g.degrees()
     others = non_cliques(comps, deg)
-    cliques = [tuple(select(ids, c)) for c in comps]
-    for comp, clique in zip(comps, cliques):
+    for comp in comps:
         if comp in others:
-            raise CspError(f"free component {list(clique)} is not a clique")
-        if len(clique) > 4:
-            raise CspError(f"free clique {list(clique)} larger than 4")
+            raise CspError(f"free component {list(select(ids, comp))} is not a clique")
+        if comp.bit_count() > 4:
+            raise CspError(f"free clique {list(select(ids, comp))} larger than 4")
     for u in bits(marked):
         if deg[u] > 4:
             raise CspError(f"marked vertex {ids[u]} has more than 4 free neighbors")
-
-    position = {v: (i, j + 1) for i, c in enumerate(comps)  # keyed by index
-                for j, v in enumerate(bits(c))}
-    constraints = tuple(frozenset(position[v] for v in bits(adj[u] & free))
-                        for u in bits(marked))
-    inst = CspInstance(tuple(tuple(range(1, len(cl) + 1)) for cl in cliques),
-                       constraints)
-    return inst, CliqueEncoding(tuple(cliques))
+    return comps, [adj[u] & free for u in bits(marked)]
 
 
 # ---------------------------------------------------------------------------
 # Domain splitting
 
 
-def _split(inst: CspInstance, cut: bool):
-    """Leaves of the domain split, depth first in ``itertools.product`` order
-    over ascending variables.  Each choice restricts what its prefix left: a
-    constraint a fixed singleton satisfies is dropped, the others lose the
-    ruled-out literals.  ``cut`` drops each prefix that empties a constraint."""
-    used = frozenset().union(*inst.constraints)
-    parts = [[(var, part, (var, part[0]) if len(part) == 1 else None,  # fixed literal
-               {(v, x) for v, x in used if v == var and x not in part})
-              for part in (dom[k:k + 2] for k in range(0, len(dom), 2))]
-             for var, dom in enumerate(inst.domains) if len(dom) > 2]
+def _split(domains: list, constraints: list, cut: bool):
+    """Leaves ``(domains, constraints)`` of the domain split, depth first in
+    ``itertools.product`` order over ascending variables.
+
+    A domain of more than two bits is cut into successive pairs of its
+    lowest bits.  Each choice of a part restricts what its prefix left: a
+    one-bit part is a fixed value, and a constraint it hits is dropped; the
+    others lose the variable's values outside the part.  ``cut`` drops
+    each prefix that empties a constraint."""
+    parts = []  # per split variable: (variable, part, fixed value, values kept)
+    for var, d in enumerate(domains):
+        if d.bit_count() > 2:
+            b = bits(d)
+            pairs = [sum(1 << i for i in b[k:k + 2]) for k in range(0, len(b), 2)]
+            parts.append([(var, p, 0 if p & (p - 1) else p, ~(d ^ p)) for p in pairs])
     if not parts:
-        yield inst
-    domains = list(inst.domains)
-    stack = [(inst.constraints, iter(parts[0]))] if parts else []
+        yield domains, constraints
+    domains = list(domains)
+    stack = [(constraints, iter(parts[0]))] if parts else []
     while stack:  # per open level: the constraints its prefix left, its untried parts
         constraints, choices = stack[-1]
-        for var, domains[var], fixed, dead in choices:
-            sub = tuple(c - dead for c in constraints if fixed not in c)
+        for var, domains[var], fixed, keep in choices:
+            sub = [c & keep for c in constraints if not c & fixed]
             if cut and not all(sub):
                 continue
             if len(stack) == len(parts):
-                yield CspInstance._build(tuple(domains), sub)
+                yield list(domains), sub
             else:
                 stack.append((sub, iter(parts[len(stack)])))
                 break
@@ -142,84 +119,81 @@ def _split(inst: CspInstance, cut: bool):
 def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     """Every leaf of the split, none cut: instances with all domains of size
     <= 2 whose solution sets unite to the input's.  A size-4 domain gives two
-    binary halves, a size-3 one a binary half and a singleton."""
-    return list(_split(inst, cut=False))
+    binary halves, a size-3 one a binary half and a singleton.
+
+    The literals get bits, a variable's domain values in order first, and
+    ``_split`` runs on the masks.  A split variable's out-of-domain literals
+    are false in every leaf and get none; the other variables' are kept."""
+    lits = [(i, x) for i, dom in enumerate(inst.domains) for x in dom]
+    lits += sorted({(i, x) for c in inst.constraints for i, x in c
+                    if len(inst.domains[i]) <= 2} - set(lits))
+    bit = {lit: 1 << k for k, lit in enumerate(lits)}
+    domains = [sum(bit[i, x] for x in dom) for i, dom in enumerate(inst.domains)]
+    constraints = [sum(bit.get(lit, 0) for lit in c) for c in inst.constraints]
+    decoded, leaves = {}, []  # per mask, its values and its literals
+    for doms, cons in _split(domains, constraints, cut=False):
+        for m in (*doms, *cons):  # the leaves share few masks
+            if m not in decoded:
+                decoded[m] = (tuple(x for _, x in select(lits, m)),
+                              frozenset(select(lits, m)))
+        leaves.append(CspInstance(tuple(decoded[d][0] for d in doms),
+                                  tuple(decoded[c][1] for c in cons)))
+    return leaves
 
 
 # ---------------------------------------------------------------------------
 # Binary-domain backtracking
 
 
-def solve_binary(inst: CspInstance) -> Optional[dict]:
-    """Satisfying assignment of a binary-domain instance, or None.
+def solve_binary(domains: list, constraints: list) -> Optional[int]:
+    """One value bit of every domain, as a mask that meets every constraint,
+    or None when there is none; the domains are disjoint masks of at most 2
+    bits.
 
     Chronological backtracking over variables in ascending order, values in
-    domain order, with unit propagation on almost-falsified constraints.
-    The search is one loop over a stack of decisions, so the Python stack
-    does not grow with the number of variables.
+    domain (ascending bit) order, with unit propagation on constraints left
+    one open value.  A state is the mask of values still alive, the mask of
+    values chosen (every one-bit domain's from the start) and the first
+    variable that may be open; the search is one loop over a stack of
+    states.  Backtracking with any sound propagation returns the first
+    solution in product order, so the witness is the one an enumeration of
+    ``itertools.product`` over the domains' bits would find first.
     """
-    for dom in inst.domains:
-        if len(dom) > 2:
-            raise CspError("solve_binary requires domains of size <= 2")
-
-    n = inst.n_vars
-    assignment: dict = {}
-
-    def literal_state(lit: Literal) -> Optional[bool]:
-        var, val = lit
-        if var in assignment:
-            return assignment[var] == val
-        return None if val in inst.domains[var] else False
-
-    def propagate(trail: list) -> bool:
-        """Assign forced literals until fixpoint; False on a wipeout."""
+    if any(d.bit_count() > 2 for d in domains):
+        raise CspError("solve_binary requires domains of size <= 2")
+    alive, chosen = sum(domains), sum(d for d in domains if d.bit_count() == 1)
+    other = [0] * alive.bit_length()  # per value bit: its variable's other value
+    for d in domains:
+        for v in (d & -d, d & (d - 1)):  # its low and its high bit, if any
+            if v:
+                other[v.bit_length() - 1] = d ^ v
+    stack = [(alive, chosen, 0)]
+    while stack:
+        alive, chosen, var = stack.pop()
         changed = True
-        while changed:
+        while changed and chosen is not None:  # unit propagation to a fixpoint
             changed = False
-            for c in inst.constraints:
-                open_lits = []
-                satisfied = False
-                for lit in c:
-                    st = literal_state(lit)
-                    if st is True:
-                        satisfied = True
+            for c in constraints:
+                if not c & chosen:
+                    unit = c & alive
+                    if not unit:  # wiped out
+                        chosen = None
                         break
-                    if st is None:
-                        open_lits.append(lit)
-                if satisfied:
-                    continue
-                if not open_lits:
-                    return False
-                if len(open_lits) == 1:
-                    var, val = open_lits[0]
-                    assignment[var] = val
-                    trail.append(var)
-                    changed = True
-        return True
-
-    # per decision: (variable, untried values, what propagation assigned
-    # after its current value); the root's propagation is never undone
-    decisions: list = []
-    trail: list = []
-    while True:
-        if propagate(trail):
-            var = next((i for i in range(n) if i not in assignment), None)
-            if var is None:
-                return dict(assignment)
-            decisions.append((var, iter(inst.domains[var]), []))
-        # undo the latest value and its propagation, then try the next value
-        while decisions:
-            var, values, trail = decisions[-1]
-            while trail:
-                del assignment[trail.pop()]
-            assignment.pop(var, None)
-            val = next(values, None)
-            if val is not None:
-                assignment[var] = val
-                break
-            decisions.pop()
-        else:
-            return None
+                    if not unit & (unit - 1):
+                        alive ^= other[unit.bit_length() - 1]
+                        chosen |= unit
+                        changed = True
+        if chosen is None:
+            continue
+        while var < len(domains) and domains[var] & chosen:
+            var += 1
+        if var == len(domains):
+            return chosen
+        low = domains[var] & -domains[var]
+        high = domains[var] ^ low
+        stack.append((alive ^ low, chosen | high, var + 1))
+        stack.append((alive ^ high, chosen | low, var + 1))
+    return None
 
 
 def solve_clique_union(g: MarkedGraph) -> Solution:
@@ -229,11 +203,11 @@ def solve_clique_union(g: MarkedGraph) -> Solution:
     feasible solution has size equal to the number of cliques; the CSP
     decides whether the marked vertices can all be dominated.  Leaves of the
     cut split are solved as the walk reaches them; the first satisfiable one
-    is the first satisfiable member of ``split_to_binary``."""
-    inst, enc = encode(g)
-    for sub in _split(inst, cut=True):
-        assignment = solve_binary(sub)
-        if assignment is not None:
-            witness = enc.decode(assignment)
-            return Solution.found(len(witness), witness)
+    is the first satisfiable member of ``split_to_binary``, and its witness
+    mask is decoded once."""
+    domains, constraints = encode(g)
+    for leaf in _split(domains, constraints, cut=True):
+        witness = solve_binary(*leaf)
+        if witness is not None:
+            return Solution.found(len(domains), g.base.decode(witness))
     return INFEASIBLE

@@ -18,14 +18,15 @@ subgraph is free in the graph the relabelling was built for, so its edges
 to marked vertices were never dropped; an ``induced`` call that frees a
 marked vertex builds a new relabelling instead.
 
-The solver, the CSP encoding and the measure work on the masks:
+The solver, the CSP endgame and the measure work on the masks:
 ``degrees``, ``component_masks``, ``non_cliques``, ``bipartite_sides``,
 ``is_clique_mask``, ``child``, ``base.adj`` and ``base.closed``, read
 through ``bits`` and ``select``.  Identifiers appear only at the public
-methods, which decode from the masks, in the witnesses the solver decodes
-once at its root and in error messages.  The lowest set bit is
-the smallest identifier, so scanning a mask upward visits vertices in
-ascending identifier order, the order every tie-break of the solver uses.
+methods, which decode from the masks, in the witnesses that the solver's
+root and the CSP endgame each decode once, and in error messages.  The
+lowest set bit is the smallest identifier, so scanning a mask upward
+visits vertices in ascending identifier order, the order every tie-break
+of the solver uses.
 """
 
 from __future__ import annotations

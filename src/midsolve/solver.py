@@ -53,7 +53,7 @@ from typing import Callable, Optional, Union
 from . import csp
 from .analysis import measure
 from .graph import MarkedGraph, bits, non_cliques, select
-from .oracle import check_ids
+from .oracle import _is_ids
 from .solution import INFEASIBLE, SearchStats, Solution
 
 CaseId = Union[int, str]
@@ -323,13 +323,14 @@ def _children(g: MarkedGraph, branches):
         yield take, g.child(free & ~(nbrs | mark | drop), (marked | mark) & ~nbrs)
 
 
-def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
-    """A greedy independent dominating set of g, or None when the greedy
-    choice leaves a marked vertex undominated.
+def _greedy_ids(g: MarkedGraph) -> Optional[int]:
+    """The mask of a greedy independent dominating set of g, or None when
+    the greedy choice leaves a marked vertex undominated.
 
     It repeatedly takes the undominated free vertex that dominates the most
     undominated vertices, the smallest identifier on ties; every free vertex
-    is then dominated, and the result is kept only if ``check_ids`` passes.
+    is then dominated, and the result is kept only if the mask checker
+    that ``oracle.check_ids`` wraps passes.
     A heap on ``(-gain, index)`` holds the candidates; gains only fall, so
     each stored gain (at first the vertex count) bounds the current one: an
     entry popped with its current gain is the pick, a stale one goes back.
@@ -348,8 +349,7 @@ def _greedy_ids(g: MarkedGraph) -> Optional[frozenset]:
         else:
             chosen |= 1 << v
             undominated &= ~closed[v]
-    ids = g.base.decode(chosen)
-    return ids if check_ids(g, ids) else None
+    return chosen if _is_ids(g, chosen) else None
 
 
 def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
@@ -394,7 +394,7 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     # an incumbent of size k lets the root look for solutions of size <= k:
     # the first optimum in search order, paper mode's witness, is still found
     incumbent = _greedy_ids(g) if prune else None
-    node, ub = g, math.inf if incumbent is None else len(incumbent) + 1
+    node, ub = g, math.inf if incumbent is None else incumbent.bit_count() + 1
     while True:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, len(stack))

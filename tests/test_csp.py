@@ -6,23 +6,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete, from_edges, path, random_clique_union
-from midsolve.csp import (CliqueEncoding, CspError, CspInstance, encode,
-                          solve_binary, solve_clique_union, split_to_binary)
-from midsolve.graph import MarkedGraph, plain_graph
+from midsolve.csp import (CspError, CspInstance, encode, solve_binary,
+                          solve_clique_union, split_to_binary)
+from midsolve.graph import MarkedGraph, bits, plain_graph
 from midsolve.oracle import check_ids, exhaustive_mids
 from midsolve.solution import INFEASIBLE, Solution
 from midsolve.solver import solve
 
 
 def brute_force_assignments(inst):
-    """All satisfying assignments, by direct product enumeration."""
-    out = []
-    for combo in itertools.product(*inst.domains):
-        assignment = dict(enumerate(combo))
-        if all(any(assignment[var] == val for var, val in c)
-               for c in inst.constraints):
-            out.append(assignment)
-    return out
+    """The satisfying assignments, in ``itertools.product`` order, by direct
+    enumeration of the product."""
+    literals = [[(i, val) for val in dom] for i, dom in enumerate(inst.domains)]
+    for combo in itertools.product(*literals):
+        if not any(map(set(combo).isdisjoint, inst.constraints)):
+            yield dict(combo)
+
+
+def product_order_witnesses(domains, constraints):
+    """The witness masks of a mask instance, in ``itertools.product`` order
+    over each domain's bits, ascending, by direct enumeration."""
+    for combo in itertools.product(*([1 << i for i in bits(d)] for d in domains)):
+        witness = sum(combo)
+        if all(c & witness for c in constraints):
+            yield witness
 
 
 @st.composite
@@ -61,22 +68,56 @@ def product_split(inst):
     return out
 
 
+@st.composite
+def binary_mask_instances(draw):
+    """``(domains, constraints)`` on masks: 1-6 domains of 1 or 2 bits at
+    drawn positions, so that a domain's bits need not be adjacent, and up
+    to 6 constraints of 0-3 bits, which may name the one bit no domain
+    holds."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=6))
+    spare = sum(sizes)
+    order = draw(st.permutations(range(spare + 1)))
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    domains = [sum(1 << b for b in order[k:k + size])
+               for k, size in zip(starts, sizes)]
+    constraint = st.sets(st.integers(0, spare), max_size=3).map(
+        lambda s: sum(1 << b for b in s))
+    return domains, draw(st.lists(constraint, max_size=6))
+
+
+def literal_encoding(g):
+    """The clique union as a literal instance, read through the graph's
+    public methods, and its cliques: variable i is the i-th free component
+    by smallest member, value j its j-th smallest vertex, and there is one
+    constraint per marked vertex, in ascending order."""
+    cliques = [sorted(c) for c in g.free_components()]
+    literal = {v: (i, j) for i, clique in enumerate(cliques)
+               for j, v in enumerate(clique, 1)}
+    constraints = tuple(frozenset(literal[v] for v in g.neighbors(u) if v in literal)
+                        for u in sorted(g.marked))
+    return CspInstance(tuple(tuple(range(1, len(c) + 1)) for c in cliques),
+                       constraints), cliques
+
+
 def eager_endgame(g):
-    """The endgame as one pass over the whole split: the first satisfiable
-    member of ``split_to_binary``, none cut."""
-    inst, enc = encode(g)
+    """The endgame as one pass over the whole split, none cut, on literals
+    and without the package's encoding or binary solver: the first
+    product-order solution of the first satisfiable member of
+    ``split_to_binary``."""
+    inst, cliques = literal_encoding(g)
     for sub in split_to_binary(inst):
-        assignment = solve_binary(sub)
-        if assignment is not None:
-            witness = enc.decode(assignment)
-            return Solution.found(len(witness), witness)
+        if all(sub.constraints):  # an empty constraint: no solution to look for
+            for assignment in brute_force_assignments(sub):
+                witness = {cliques[i][val - 1] for i, val in assignment.items()}
+                return Solution.found(len(witness), witness)
     return INFEASIBLE
 
 
 def clique_union_of(inst):
-    """The marked graph that ``encode`` maps to ``inst`` (every literal in
-    its domain): clique i has one vertex per value, in value order, and
-    constraint j is a marked vertex adjacent to its literals' vertices."""
+    """The marked graph that ``literal_encoding`` maps to ``inst`` (every
+    literal in its domain), and the vertex of each literal: clique i has one
+    vertex per value, in value order, and constraint j is a marked vertex
+    adjacent to its literals' vertices."""
     vertex = {lit: v for v, lit in enumerate(
         (i, val) for i, dom in enumerate(inst.domains) for val in dom)}
     edges = [(vertex[i, a], vertex[i, b]) for i, dom in enumerate(inst.domains)
@@ -84,7 +125,7 @@ def clique_union_of(inst):
     marked = range(len(vertex), len(vertex) + len(inst.constraints))
     edges += [(m, vertex[lit]) for m, c in zip(marked, inst.constraints)
               for lit in c]
-    return MarkedGraph(range(len(vertex)), marked, edges)
+    return MarkedGraph(range(len(vertex)), marked, edges), vertex
 
 
 def bench_clique_union(k, marked, seed):
@@ -131,30 +172,27 @@ class TestInstanceValidation:
     def test_scope_of_four_accepted(self):
         lits = frozenset((i, 1) for i in range(4))
         inst = CspInstance(((1, 2),) * 4, (lits,))
-        assert inst.n_vars == 4
+        assert len(inst.domains) == 4
 
 
 class TestEncode:
     def test_two_triangles_one_marked(self):
-        # marked 9 sees one vertex of each triangle
+        # marked 9 (index 6) sees one vertex of each triangle
         g = MarkedGraph({0, 1, 2, 3, 4, 5}, {9},
                         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                          (9, 0), (9, 3)])
-        inst, enc = encode(g)
-        assert inst.domains == ((1, 2, 3), (1, 2, 3))
-        assert enc.clique_of == ((0, 1, 2), (3, 4, 5))
-        assert inst.constraints == (frozenset({(0, 1), (1, 1)}),)
+        assert encode(g) == ([0b000111, 0b111000], [0b001001])
 
     def test_clique_numbering_by_smallest_member(self):
         g = plain_graph([1, 5, 6, 7], [(5, 6), (6, 7), (5, 7)])
-        _, enc = encode(g)
-        assert enc.clique_of == ((1,), (5, 6, 7))
+        domains, constraints = encode(g)
+        assert [g.base.decode(d) for d in domains] == [{1}, {5, 6, 7}]
+        assert domains == [0b0001, 0b1110] and constraints == []
 
-    def test_values_are_positions(self):
+    def test_values_are_vertex_bits(self):
         g = MarkedGraph({2, 4}, {8}, [(2, 4), (8, 4)])
-        inst, _ = encode(g)
-        # 4 is the second vertex of clique (2, 4): literal (0, 2)
-        assert inst.constraints == (frozenset({(0, 2)}),)
+        # 4 is index 1 of (2, 4, 8): the constraint is its bit
+        assert encode(g) == ([0b011], [0b010])
 
     def test_non_clique_component_rejected(self):
         with pytest.raises(CspError):
@@ -184,13 +222,14 @@ class TestEncode:
         edges.append((vid(11), vid(1)))  # marked-marked: dropped
         g = MarkedGraph([vid(v) for cl in cliques for v in cl],
                         [vid(u) for u in marked_nbrs], edges[::-1])
-        inst, enc = encode(g)
-        assert enc.clique_of == ((10, 22, 31), (16, 37), (25,))
-        assert inst.domains == ((1, 2, 3), (1, 2), (1,))
+        domains, constraints = encode(g)
+        # indices 0..8 are the identifiers 10, 13, 16, 22, 25, 28, 31, 37, 43
+        assert domains == [0b001001001, 0b010000100, 0b000010000]
+        assert [sorted(g.base.decode(d)) for d in domains] == \
+            [[10, 22, 31], [16, 37], [25]]
         # one constraint per marked vertex 13, 28, 43, in that order
-        assert inst.constraints == (frozenset({(0, 3), (1, 2)}),
-                                    frozenset({(0, 1), (2, 1)}),
-                                    frozenset({(0, 2), (1, 1)}))
+        assert [sorted(g.base.decode(c)) for c in constraints] == \
+            [[31, 37], [10, 25], [16, 22]]
 
     @pytest.mark.parametrize("g, message", [
         (plain_graph([16, 10, 13], [(13, 16), (10, 13)]),
@@ -206,10 +245,6 @@ class TestEncode:
         with pytest.raises(CspError) as exc:
             encode(g)
         assert str(exc.value) == message
-
-    def test_decode(self):
-        enc = CliqueEncoding(((3, 7), (10,)))
-        assert enc.decode({0: 2, 1: 1}) == {7, 10}
 
 
 class TestSplitToBinary:
@@ -301,53 +336,51 @@ class TestSplitToBinary:
 class TestSolveBinary:
     def test_rejects_wide_domain(self):
         with pytest.raises(CspError):
-            solve_binary(CspInstance(((1, 2, 3),), ()))
+            solve_binary([0b111], [])
 
     def test_no_constraints_takes_first_values(self):
-        inst = CspInstance(((1, 2), (1, 2)), ())
-        assert solve_binary(inst) == {0: 1, 1: 1}
+        assert solve_binary([0b0011, 0b1100], []) == 0b0101
 
     def test_empty_constraint_unsat(self):
-        inst = CspInstance(((1, 2),), (frozenset(),))
-        assert solve_binary(inst) is None
+        assert solve_binary([0b11], [0]) is None
 
     def test_unit_propagation_chain(self):
-        inst = CspInstance(((1, 2), (1, 2), (1, 2)),
-                           (frozenset({(0, 2)}),
-                            frozenset({(0, 1), (1, 2)}),
-                            frozenset({(1, 1), (2, 2)})))
-        assert solve_binary(inst) == {0: 2, 1: 2, 2: 2}
+        # variable i holds bits 2i (its first value) and 2i + 1
+        assert solve_binary([0b11, 0b1100, 0b110000],
+                            [0b10, 0b1001, 0b100100]) == 0b101010
 
     def test_many_variables_under_default_recursion_limit(self):
         # one decision per variable: a recursive search would need 1,500 frames
-        inst = CspInstance(((1,),) * 1500, ())
-        assert solve_binary(inst) == {i: 1 for i in range(1500)}
+        domains = [0b11 << 2 * i for i in range(1500)]
+        assert solve_binary(domains, []) == sum(1 << 2 * i for i in range(1500))
 
     def test_conflicting_units_unsat(self):
-        inst = CspInstance(((1, 2),),
-                           (frozenset({(0, 1)}), frozenset({(0, 2)})))
-        assert solve_binary(inst) is None
+        assert solve_binary([0b11], [0b01, 0b10]) is None
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_enumeration(self, data):
         n = data.draw(st.integers(1, 4))
-        domains = tuple(tuple(range(1, data.draw(st.integers(1, 2)) + 1))
-                        for _ in range(n))
-        all_lits = [(i, v) for i, d in enumerate(domains) for v in d]
-        constraints = tuple(
-            frozenset(data.draw(st.sets(st.sampled_from(all_lits),
-                                        min_size=1, max_size=3)))
-            for _ in range(data.draw(st.integers(0, 4))))
-        inst = CspInstance(domains, constraints)
-        got = solve_binary(inst)
-        want = brute_force_assignments(inst)
-        if want:
+        domains = [0b11 >> (2 - data.draw(st.integers(1, 2))) << 2 * i
+                   for i in range(n)]
+        values = [1 << b for d in domains for b in bits(d)]
+        constraints = [sum(data.draw(st.sets(st.sampled_from(values),
+                                             min_size=1, max_size=3)))
+                       for _ in range(data.draw(st.integers(0, 4)))]
+        got = solve_binary(domains, constraints)
+        if next(product_order_witnesses(domains, constraints), None) is not None:
             assert got is not None
-            assert all(any(got[var] == val for var, val in c)
-                       for c in inst.constraints)
+            assert all((got & d).bit_count() == 1 for d in domains)
+            assert all(got & c for c in constraints)
         else:
             assert got is None
+
+    @given(binary_mask_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_first_solution_in_product_order(self, instance):
+        # not just a solution: the witness the product enumeration finds first
+        assert solve_binary(*instance) == \
+            next(product_order_witnesses(*instance), None)
 
 
 class TestSolveCliqueUnion:
@@ -430,6 +463,11 @@ class TestWalkMatchesEagerEndgame:
     @settings(max_examples=200, deadline=None)
     def test_csp_instances(self, inst):
         # constraints may start empty: a marked vertex with no free neighbour
-        g = clique_union_of(inst)
-        assert encode(g)[0] == inst
+        g, vertex = clique_union_of(inst)
+        assert literal_encoding(g)[0] == inst
+        # identifiers are indices: the masks hold the literals' vertices
+        assert encode(g) == (
+            [sum(1 << vertex[i, val] for val in dom)
+             for i, dom in enumerate(inst.domains)],
+            [sum(1 << vertex[lit] for lit in c) for c in inst.constraints])
         assert solve_clique_union(g) == eager_endgame(g)

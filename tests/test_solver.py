@@ -496,8 +496,8 @@ class TestLowerBound:
 
 
 def rescan_greedy_ids(g):
-    """The greedy incumbent computed by rescanning every undominated free
-    vertex for each pick: the definition ``_greedy_ids`` must match."""
+    """The greedy incumbent's mask computed by rescanning every undominated
+    free vertex for each pick: the definition ``_greedy_ids`` must match."""
     adj = g.base.adj
     undominated = g.free_mask | g.marked_mask
     chosen = 0
@@ -506,8 +506,7 @@ def rescan_greedy_ids(g):
                 key=lambda v: (adj[v] & undominated).bit_count())
         chosen |= 1 << v
         undominated &= ~(adj[v] | 1 << v)
-    ids = g.base.decode(chosen)
-    return ids if check_ids(g, ids) else None
+    return chosen if check_ids(g, g.base.decode(chosen)) else None
 
 
 class TestGreedyIncumbent:
@@ -517,8 +516,8 @@ class TestGreedyIncumbent:
             incumbent = _greedy_ids(g)
             if incumbent is not None:
                 found += 1
-                assert check_ids(g, incumbent)
-                assert len(incumbent) >= exhaustive_mids(g).size
+                assert check_ids(g, g.base.decode(incumbent))
+                assert incumbent.bit_count() >= exhaustive_mids(g).size
         assert found > 1000
 
     @pytest.mark.parametrize("marked", [False, True])
