@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .graph import select
-from .solution import WeightVector  # re-exported: part of this API
+from .weights import WeightVector  # re-exported: part of this API
 
 #: Asymptotic growth rate of the lower-bound leaf recurrence
 #: L[k] = L[k-3] + L[k-4] + L[k-5]: the real root of x^5 = x^2 + x + 1.

@@ -9,11 +9,11 @@ mask, a value is a vertex bit, a constraint is a marked vertex's free
 neighbourhood, and a solution is the witness mask itself.
 
 Domains of size 3 and 4 are cut into pairs of their lowest bits.  The
-choices of a part per variable are walked depth first, each restricting
-the constraints, and a prefix that empties a constraint is cut.  Each
-binary-domain leaf is solved by backtracking with unit propagation, up to
-the first satisfiable one.  ``CspInstance`` and ``split_to_binary`` state
-the same split on ``(variable, value)`` literals.
+choices of a part per variable are walked depth first on the mask of values
+still alive, and a prefix that leaves a constraint none is cut.  Each leaf
+is solved on the unrestricted constraints by backtracking with unit
+propagation, up to the first satisfiable one.  ``CspInstance`` and
+``split_to_binary`` state the same split on ``(variable, value)`` literals.
 """
 
 from __future__ import annotations
@@ -83,37 +83,30 @@ def encode(g: MarkedGraph) -> tuple[list[int], list[int]]:
 
 
 def _split(domains: list, constraints: list, cut: bool):
-    """Leaves ``(domains, constraints)`` of the domain split, depth first in
-    ``itertools.product`` order over ascending variables.
-
-    A domain of more than two bits is cut into successive pairs of its
-    lowest bits.  Each choice of a part restricts what its prefix left: a
-    one-bit part is a fixed value, and a constraint it hits is dropped; the
-    others lose the variable's values outside the part.  ``cut`` drops
-    each prefix that empties a constraint."""
-    parts = []  # per split variable: (variable, part, fixed value, values kept)
-    for var, d in enumerate(domains):
+    """Leaf domains of the domain split, depth first in ``itertools.product``
+    order over ascending variables.  A domain d of more than two bits is cut
+    into successive pairs of its lowest bits.  A prefix is the mask of values
+    still alive; choosing part p of d clears ``d ^ p``.  ``cut`` drops a
+    prefix that leaves a constraint no alive value.  The empty prefix is
+    checked on every constraint, and a choice of p only on those that meet d
+    but not p: the others kept a value at the parent prefix and lose none."""
+    levels = []  # per split variable, per part: values kept, constraints at risk
+    for d in domains:
         if d.bit_count() > 2:
             b = bits(d)
             pairs = [sum(1 << i for i in b[k:k + 2]) for k in range(0, len(b), 2)]
-            parts.append([(var, p, 0 if p & (p - 1) else p, ~(d ^ p)) for p in pairs])
-    if not parts:
-        yield domains, constraints
-    domains = list(domains)
-    stack = [(constraints, iter(parts[0]))] if parts else []
-    while stack:  # per open level: the constraints its prefix left, its untried parts
-        constraints, choices = stack[-1]
-        for var, domains[var], fixed, keep in choices:
-            sub = [c & keep for c in constraints if not c & fixed]
-            if cut and not all(sub):
-                continue
-            if len(stack) == len(parts):
-                yield list(domains), sub
-            else:
-                stack.append((sub, iter(parts[len(stack)])))
-                break
-        else:
-            stack.pop()
+            levels.append([(~(d ^ p), [c for c in constraints if c & d and not c & p])
+                           for p in pairs])
+    stack = [(-1, 0)] if not cut or all(constraints) else []  # (alive, depth)
+    while stack:
+        alive, depth = stack.pop()
+        if depth == len(levels):
+            yield [d & alive for d in domains]
+            continue
+        for keep, risky in reversed(levels[depth]):  # the first part on top
+            sub = alive & keep
+            if not cut or all(c & sub for c in risky):
+                stack.append((sub, depth + 1))
 
 
 def split_to_binary(inst: CspInstance) -> list[CspInstance]:
@@ -122,8 +115,10 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     binary halves, a size-3 one a binary half and a singleton.
 
     The literals get bits, a variable's domain values in order first, and
-    ``_split`` runs on the masks.  A split variable's out-of-domain literals
-    are false in every leaf and get none; the other variables' are kept."""
+    ``_split`` runs on the masks.  A leaf drops the constraints that a split
+    variable's one-bit part hits and strips the split variables' values
+    outside it from the rest.  A split variable's out-of-domain literals are
+    false in every leaf and get no bit; the other variables' are kept."""
     lits = [(i, x) for i, dom in enumerate(inst.domains) for x in dom]
     lits += sorted({(i, x) for c in inst.constraints for i, x in c
                     if len(inst.domains[i]) <= 2} - set(lits))
@@ -131,7 +126,10 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     domains = [sum(bit[i, x] for x in dom) for i, dom in enumerate(inst.domains)]
     constraints = [sum(bit.get(lit, 0) for lit in c) for c in inst.constraints]
     decoded, leaves = {}, []  # per mask, its values and its literals
-    for doms, cons in _split(domains, constraints, cut=False):
+    for doms in _split(domains, constraints, cut=False):
+        fixed = sum(p for d, p in zip(domains, doms) if d != p and not p & (p - 1))
+        dead = sum(domains) ^ sum(doms)  # the split variables' values outside the leaf
+        cons = [c & ~dead for c in constraints if not c & fixed]
         for m in (*doms, *cons):  # the leaves share few masks
             if m not in decoded:
                 decoded[m] = (tuple(x for _, x in select(lits, m)),
@@ -201,13 +199,15 @@ def solve_clique_union(g: MarkedGraph) -> Solution:
 
     Every free clique contributes exactly one solution vertex, so any
     feasible solution has size equal to the number of cliques; the CSP
-    decides whether the marked vertices can all be dominated.  Leaves of the
-    cut split are solved as the walk reaches them; the first satisfiable one
-    is the first satisfiable member of ``split_to_binary``, and its witness
-    mask is decoded once."""
+    decides whether the marked vertices can all be dominated.  Each leaf of
+    the cut split is solved on the unrestricted constraints, in the steps
+    its restricted ones take: its alive and chosen values lie inside it, and
+    a constraint that a one-bit part hits is met from the start.  The first
+    satisfiable leaf is the first satisfiable member of ``split_to_binary``;
+    its witness mask is decoded once."""
     domains, constraints = encode(g)
     for leaf in _split(domains, constraints, cut=True):
-        witness = solve_binary(*leaf)
+        witness = solve_binary(leaf, constraints)
         if witness is not None:
             return Solution.found(len(domains), g.base.decode(witness))
     return INFEASIBLE

@@ -46,9 +46,13 @@ def select(seq, mask: int) -> Iterator:
     """The entries of ``seq`` at the set bits of ``mask``, in index order.
 
     ``itertools.compress`` walks the binary digits of ``mask``, lowest
-    first, with no Python loop per vertex.
+    first, with no Python loop per vertex.  The mask is shifted down to its
+    lowest set bit and ``seq`` sliced to its span first, so a call costs
+    what the mask spans, not its top bit.
     """
-    return compress(seq, bin(mask)[:1:-1].encode().translate(_DIGIT))
+    low = (mask ^ (mask - 1)).bit_length() - 1  # the lowest set bit; 0 for 0
+    return compress(seq[low:mask.bit_length()],
+                    bin(mask >> low)[:1:-1].encode().translate(_DIGIT))
 
 
 def bits(mask: int) -> list[int]:

@@ -1,6 +1,5 @@
 """Result types: the solution shared by the branch-and-reduce solver and
-the oracles, the search statistics the solver returns with it, and the
-degree weights the analysis optimizer returns.
+the oracles, and the search statistics the solver returns with it.
 
 A marked graph may have no independent dominating set at all (e.g. a marked
 vertex with no free neighbor), so results are either a witness set with its
@@ -54,28 +53,3 @@ class SearchStats:
     def count(self, case: Union[int, str]) -> None:
         self.case_counts[case] = self.case_counts.get(case, 0) + 1
 
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Degree weights (w1, w2); w0 = 0 and w_i = 1 for i >= 3 are fixed.
-    Kept here rather than in ``analysis`` for the same reason as
-    ``SearchStats``: a kept optimizer result then refers to this small
-    module only."""
-
-    w1: float
-    w2: float
-
-    def is_admissible(self) -> bool:
-        # 0 <= w1 <= w2 <= 1 and decreasing increments:
-        # w1 - w0 >= w2 - w1 >= 1 - w2
-        return (0.0 <= self.w1 <= self.w2 <= 1.0
-                and self.w1 >= self.w2 - self.w1 >= 1.0 - self.w2)
-
-    def for_degree(self, d: int) -> float:
-        if d <= 0:
-            return 0.0
-        if d == 1:
-            return self.w1
-        if d == 2:
-            return self.w2
-        return 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete, from_edges, path, random_clique_union
+from midsolve import csp
 from midsolve.csp import (CspError, CspInstance, encode, solve_binary,
                           solve_clique_union, split_to_binary)
 from midsolve.graph import MarkedGraph, bits, plain_graph
@@ -126,6 +127,25 @@ def clique_union_of(inst):
     edges += [(m, vertex[lit]) for m, c in zip(marked, inst.constraints)
               for lit in c]
     return MarkedGraph(range(len(vertex)), marked, edges), vertex
+
+
+def restricting_walk(domains, constraints):
+    """The cut split's leaves as ``(domains, constraints)``, each prefix
+    restricting the constraints its parent left: a one-bit part drops the
+    constraints it hits, the others lose the variable's values outside the
+    part, and a prefix that empties one is cut.  The reference for the walk
+    on one alive mask."""
+    wide = [var for var, d in enumerate(domains) if d.bit_count() > 2]
+    if not wide:
+        yield domains, constraints
+        return
+    var, d = wide[0], domains[wide[0]]
+    b = bits(d)
+    for part in (sum(1 << i for i in b[k:k + 2]) for k in range(0, len(b), 2)):
+        fixed = 0 if part & (part - 1) else part
+        sub = [c & ~(d ^ part) for c in constraints if not c & fixed]
+        if all(sub):
+            yield from restricting_walk(domains[:var] + [part] + domains[var + 1:], sub)
 
 
 def bench_clique_union(k, marked, seed):
@@ -471,3 +491,53 @@ class TestWalkMatchesEagerEndgame:
              for i, dom in enumerate(inst.domains)],
             [sum(1 << vertex[lit] for lit in c) for c in inst.constraints])
         assert solve_clique_union(g) == eager_endgame(g)
+
+
+class TestAliveMaskWalk:
+    """The endgame's walk on one alive mask, with each leaf solved on the
+    unrestricted constraints, against the walk that restricts them."""
+
+    @staticmethod
+    def counted_solve(g, monkeypatch):
+        calls = []
+        monkeypatch.setattr(csp, "solve_binary",
+                            lambda *leaf: calls.append(leaf) or solve_binary(*leaf))
+        return csp.solve_clique_union(g), len(calls)
+
+    @staticmethod
+    def restricted_solve(g):
+        calls = 0
+        for leaf in restricting_walk(*encode(g)):
+            calls += 1
+            witness = solve_binary(*leaf)
+            if witness is not None:
+                return witness, calls
+        return None, calls
+
+    def test_benchmark_clique_unions_same_calls(self, monkeypatch):
+        total = 0
+        for seed in range(24):
+            g = bench_clique_union(12, 36, seed)
+            sol, calls = self.counted_solve(g, monkeypatch)
+            witness, expected = self.restricted_solve(g)
+            assert calls == expected, seed
+            assert sol.witness == (None if witness is None else g.base.decode(witness))
+            total += calls
+        assert total == 2756
+
+    def test_criterion_2_clique_unions_same_calls(self, monkeypatch):
+        # an empty constraint ends the endgame before any leaf, where the
+        # restricting walk solved the root when nothing was split
+        for seed in range(300):
+            g = random_clique_union(seed)
+            expected = self.restricted_solve(g)[1] if all(encode(g)[1]) else 0
+            assert self.counted_solve(g, monkeypatch)[1] == expected, seed
+
+    @pytest.mark.parametrize("marked_with", [[], [(9, 4)]])
+    def test_empty_constraint_infeasible_before_any_leaf(self, monkeypatch, marked_with):
+        # two 4-cliques and marked 10, which has no free neighbour; marked 9,
+        # if present, sees 4 in the second clique
+        edges = [e for q in ((0, 1, 2, 3), (4, 5, 6, 7))
+                 for e in itertools.combinations(q, 2)] + marked_with
+        g = MarkedGraph(range(8), {9, 10} if marked_with else {10}, edges)
+        assert self.counted_solve(g, monkeypatch) == (INFEASIBLE, 0)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (complete, cycle, f_degrees, from_edges, path,
                       seeded_marked_graphs)
-from midsolve.graph import GraphError, MarkedGraph, plain_graph
+from midsolve.graph import GraphError, MarkedGraph, bits, plain_graph, select
 from midsolve.instances import gen_lower_bound, gen_random
 
 
@@ -375,3 +375,14 @@ class TestRelabelling:
         freeing = g.induced({1, 2, 3}, ())
         assert freeing.base is not g.base
         assert freeing.base.closed == (0b011, 0b111, 0b110)
+
+
+class TestSelect:
+    SEQ = tuple(f"v{i}" for i in range(2100))
+
+    @given(st.integers(0, 2000), st.integers(0, 2 ** 64 - 1))
+    def test_matches_indexing_at_any_offset(self, low, above):
+        # masks whose lowest set bit runs from 0 to 2,000, and the empty one
+        for m in (0, (above << 1 | 1) << low):
+            for seq in (self.SEQ, list(self.SEQ)):
+                assert list(select(seq, m)) == [seq[i] for i in bits(m)]
