@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import MarkedGraph, bits, non_cliques, select
+from .graph import MarkedGraph, bits, non_cliques, overfull_marked, select
 from .solution import INFEASIBLE, Solution
 
 
@@ -72,9 +72,9 @@ def encode(g: MarkedGraph) -> tuple[list[int], list[int]]:
             raise CspError(f"free component {list(select(ids, comp))} is not a clique")
         if comp.bit_count() > 4:
             raise CspError(f"free clique {list(select(ids, comp))} larger than 4")
-    for u in bits(marked):
-        if deg[u] > 4:
-            raise CspError(f"marked vertex {ids[u]} has more than 4 free neighbors")
+    bad = overfull_marked(adj, free, marked)
+    if bad is not None:
+        raise CspError(f"marked vertex {ids[bad]} has more than 4 free neighbors")
     return comps, [adj[u] & free for u in bits(marked)]
 
 
@@ -82,14 +82,14 @@ def encode(g: MarkedGraph) -> tuple[list[int], list[int]]:
 # Domain splitting
 
 
-def _split(domains: list, constraints: list, cut: bool):
+def _split(domains: list, constraints: list):
     """Leaf domains of the domain split, depth first in ``itertools.product``
     order over ascending variables.  A domain d of more than two bits is cut
     into successive pairs of its lowest bits.  A prefix is the mask of values
-    still alive; choosing part p of d clears ``d ^ p``.  ``cut`` drops a
-    prefix that leaves a constraint no alive value.  The empty prefix is
-    checked on every constraint, and a choice of p only on those that meet d
-    but not p: the others kept a value at the parent prefix and lose none."""
+    still alive; choosing part p of d clears ``d ^ p``.  A prefix that leaves
+    a constraint no alive value is dropped.  The empty prefix is checked on
+    every constraint, and a choice of p only on those that meet d but not p:
+    the others kept a value at the parent prefix and lose none."""
     levels = []  # per split variable, per part: values kept, constraints at risk
     for d in domains:
         if d.bit_count() > 2:
@@ -97,7 +97,7 @@ def _split(domains: list, constraints: list, cut: bool):
             pairs = [sum(1 << i for i in b[k:k + 2]) for k in range(0, len(b), 2)]
             levels.append([(~(d ^ p), [c for c in constraints if c & d and not c & p])
                            for p in pairs])
-    stack = [(-1, 0)] if not cut or all(constraints) else []  # (alive, depth)
+    stack = [(-1, 0)] if all(constraints) else []  # (alive, depth)
     while stack:
         alive, depth = stack.pop()
         if depth == len(levels):
@@ -105,7 +105,7 @@ def _split(domains: list, constraints: list, cut: bool):
             continue
         for keep, risky in reversed(levels[depth]):  # the first part on top
             sub = alive & keep
-            if not cut or all(c & sub for c in risky):
+            if all(c & sub for c in risky):
                 stack.append((sub, depth + 1))
 
 
@@ -115,10 +115,11 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     binary halves, a size-3 one a binary half and a singleton.
 
     The literals get bits, a variable's domain values in order first, and
-    ``_split`` runs on the masks.  A leaf drops the constraints that a split
-    variable's one-bit part hits and strips the split variables' values
-    outside it from the rest.  A split variable's out-of-domain literals are
-    false in every leaf and get no bit; the other variables' are kept."""
+    ``_split`` runs on the masks with no constraints, so it cuts nothing.
+    A leaf drops the constraints that a split variable's one-bit part hits
+    and strips the split variables' values outside it from the rest.  A
+    split variable's out-of-domain literals are false in every leaf and get
+    no bit; the other variables' are kept."""
     lits = [(i, x) for i, dom in enumerate(inst.domains) for x in dom]
     lits += sorted({(i, x) for c in inst.constraints for i, x in c
                     if len(inst.domains[i]) <= 2} - set(lits))
@@ -126,7 +127,7 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     domains = [sum(bit[i, x] for x in dom) for i, dom in enumerate(inst.domains)]
     constraints = [sum(bit.get(lit, 0) for lit in c) for c in inst.constraints]
     decoded, leaves = {}, []  # per mask, its values and its literals
-    for doms in _split(domains, constraints, cut=False):
+    for doms in _split(domains, []):
         fixed = sum(p for d, p in zip(domains, doms) if d != p and not p & (p - 1))
         dead = sum(domains) ^ sum(doms)  # the split variables' values outside the leaf
         cons = [c & ~dead for c in constraints if not c & fixed]
@@ -206,7 +207,7 @@ def solve_clique_union(g: MarkedGraph) -> Solution:
     satisfiable leaf is the first satisfiable member of ``split_to_binary``;
     its witness mask is decoded once."""
     domains, constraints = encode(g)
-    for leaf in _split(domains, constraints, cut=True):
+    for leaf in _split(domains, constraints):
         witness = solve_binary(leaf, constraints)
         if witness is not None:
             return Solution.found(len(domains), g.base.decode(witness))

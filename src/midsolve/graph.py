@@ -18,21 +18,21 @@ subgraph is free in the graph the relabelling was built for, so its edges
 to marked vertices were never dropped; an ``induced`` call that frees a
 marked vertex builds a new relabelling instead.
 
-The solver, the CSP endgame and the measure work on the masks:
-``degrees``, ``component_masks``, ``non_cliques``, ``bipartite_sides``,
-``is_clique_mask``, ``child``, ``base.adj`` and ``base.closed``, read
-through ``bits`` and ``select``.  Identifiers appear only at the public
-methods, which decode from the masks, in the witnesses that the solver's
-root and the CSP endgame each decode once, and in error messages.  The
-lowest set bit is the smallest identifier, so scanning a mask upward
-visits vertices in ascending identifier order, the order every tie-break
-of the solver uses.
+The solver, the CSP endgame, the measure and ``mark_random`` work on the
+masks: ``degrees``, ``component_masks``, ``non_cliques``,
+``bipartite_sides``, ``overfull_marked``, ``is_clique_mask``, ``child``,
+``nbr_mask``, ``base.adj`` and ``base.closed``, read through ``bits`` and
+``select``.  Identifiers appear only at the public methods, which decode
+from the masks, in the witnesses that the solver's root and the CSP
+endgame each decode once, and in error messages.  The lowest set bit is
+the smallest identifier, so scanning a mask upward visits vertices in
+ascending identifier order, the order every tie-break of the solver uses.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 
 class GraphError(ValueError):
@@ -72,6 +72,13 @@ def non_cliques(comps: list, deg: list) -> list:
     its own component, so a component C is a clique exactly when each of
     its vertices has F-degree |C| - 1."""
     return [c for c in comps if min(select(deg, c)) != c.bit_count() - 1]
+
+
+def overfull_marked(adj, free: int, marked: int) -> Optional[int]:
+    """The lowest index of ``marked`` with more than 4 neighbours in
+    ``free``, or None: the solver's input contract, which every branching
+    rule keeps, is that no marked vertex has F-degree above 4."""
+    return next((u for u in bits(marked) if (adj[u] & free).bit_count() > 4), None)
 
 
 class Relabelling:

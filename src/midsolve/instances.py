@@ -14,7 +14,7 @@ see _SplitMix64) so corpora are reproducible across implementations.
 
 from __future__ import annotations
 
-from .graph import GraphError, MarkedGraph, plain_graph
+from .graph import GraphError, MarkedGraph, bits, overfull_marked, plain_graph
 
 
 class InstanceFormatError(ValueError):
@@ -109,32 +109,30 @@ def mark_random(g: MarkedGraph, fraction: float, seed: int) -> MarkedGraph:
     marked vertex with more than 4 free neighbors is rejected and redrawn;
     after ``MARK_ATTEMPTS`` failed draws, offending vertices are unmarked
     (smallest identifier first) until the contract holds, which always terminates.
+    Both tests are ``overfull_marked`` on the vertices' neighbor masks.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"mark fraction {fraction} outside [0, 1]")
-    verts = sorted(g.vertices)
+    vertices = g.free_mask | g.marked_mask
+    verts = bits(vertices)
     count = round(fraction * len(verts))
-    edges = list(g.edges())
-    nbrs = {v: g.neighbors(v) for v in verts}
+    nbrs = [g.nbr_mask(i) for i in range(len(g.base.ids))]
     rng = _SplitMix64(seed)
-    marked: set = set()
+    marked = 0
     for _ in range(MARK_ATTEMPTS):
         pool = list(verts)
         rng.shuffle(pool)
-        marked = set(pool[:count])
+        marked = sum(1 << i for i in pool[:count])
         if _mark_ok(nbrs, marked):
             break
     else:
-        while True:
-            bad = sorted(v for v in marked if len(nbrs[v] - marked) > 4)
-            if not bad:
-                break
-            marked.discard(bad[0])
-    return MarkedGraph(set(verts) - marked, marked, edges)
+        while (bad := overfull_marked(nbrs, ~marked, marked)) is not None:
+            marked ^= 1 << bad
+    return MarkedGraph(g.base.decode(vertices & ~marked), g.base.decode(marked), g.edges())
 
 
-def _mark_ok(nbrs: dict, marked: set) -> bool:
-    return all(len(nbrs[v] - marked) <= 4 for v in marked)
+def _mark_ok(nbrs: list, marked: int) -> bool:
+    return overfull_marked(nbrs, ~marked, marked) is None
 
 
 # ---------------------------------------------------------------------------

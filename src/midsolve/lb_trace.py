@@ -7,6 +7,10 @@ layered suffix, and the leaf counts should grow like the recurrence
 L[k] = L[k-3] + L[k-4] + L[k-5] per two removed vertices.  Both runs
 solve in paper mode (``prune=False``), so they measure the whole tree of
 the algorithm the paper analyses rather than a pruned one.
+
+The ``on_node`` hook sees the nodes in DFS pre-order with their depths, so
+it keeps only the current path, where a node's parent is the last entry
+above its depth, and it records only the case-9 nodes it checks.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from .solver import case9_candidates, solve
 
 @dataclass
 class NodeRecord:
-    node_id: int
-    parent_id: Optional[int]
+    """A case-9 node with more than 4 free vertices, its tied candidates and
+    the free vertices each of its children removed, in search order."""
+
     depth: int
     free_count: int
-    case: object
-    free_vertices: frozenset
-    candidates: Optional[tuple] = None  # only recorded at case-9 nodes
+    candidates: tuple
+    removals: list = field(default_factory=list)
 
 
 @dataclass
@@ -40,15 +44,14 @@ class TraceReport:
     child_removals_ok: bool = True
 
 
-def _shape_ok(rec: NodeRecord, l: int) -> bool:
+def _shape_ok(free_mask: int, candidates: tuple, l: int) -> bool:
     """Candidate structure on the layered family: the live vertices form a
     contiguous suffix ending at v_l = 2l and the candidate pair is the
-    suffix's first vertex together with v_l."""
-    free = rec.free_vertices
-    lo, hi = min(free), max(free)
-    if hi != 2 * l or free != frozenset(range(lo, hi + 1)):
-        return False
-    return rec.candidates == (lo, 2 * l)
+    suffix's first vertex together with v_l.  The family's identifiers are
+    1..2l, so vertex i is bit i - 1, and such a suffix is exactly a mask
+    whose sum with its lowest bit is ``1 << 2l``."""
+    low = free_mask & -free_mask
+    return free_mask + low == 1 << 2 * l and candidates == (low.bit_length(), 2 * l)
 
 
 def trace(l: int) -> TraceReport:
@@ -56,39 +59,29 @@ def trace(l: int) -> TraceReport:
     candidate structure, the all-case-9 claim and the child removal counts."""
     if l < 3:
         raise ValueError(f"trace needs l >= 3, got {l}")
-    g = gen_lower_bound(l)
-    records: list[NodeRecord] = []
-    stack: list[int] = []  # node id per depth along the current DFS path
+    report = TraceReport(l=l, nodes=0, leaves=0, case9_only_above_4=True)
+    path: list = []  # per depth on the current DFS path: its record or None
 
-    def hook(depth, node_graph, case):
-        node_id = len(records)
-        parent = stack[depth - 1] if depth > 0 else None
-        del stack[depth:]
-        stack.append(node_id)
-        cands = tuple(case9_candidates(node_graph)) if case == 9 else None
-        records.append(NodeRecord(node_id, parent, depth,
-                                  len(node_graph.free), case,
-                                  node_graph.free, cands))
-
-    _, stats = solve(g, on_node=hook, prune=False)
-
-    report = TraceReport(l=l, nodes=stats.nodes, leaves=stats.leaves,
-                         case9_only_above_4=True)
-    children: dict[int, list[int]] = {}
-    for rec in records:
-        if rec.parent_id is not None:
-            children.setdefault(rec.parent_id, []).append(rec.free_count)
-    for rec in records:
-        if rec.free_count > 4:
-            if rec.case != 9:
+    def hook(depth, node, case):
+        del path[depth:]
+        free = node.free_mask.bit_count()
+        if path and path[-1] is not None:
+            path[-1].removals.append(path[-1].free_count - free)
+        rec = None
+        if free > 4:
+            if case != 9:
                 report.case9_only_above_4 = False
-                continue
-            report.candidate_log.append(rec)
-            if not _shape_ok(rec, l):
-                report.candidate_shapes_ok = False
-            removals = sorted(rec.free_count - c for c in children.get(rec.node_id, []))
-            if removals != [3, 4, 5]:
-                report.child_removals_ok = False
+            else:
+                rec = NodeRecord(depth, free, tuple(case9_candidates(node)))
+                report.candidate_log.append(rec)
+                if not _shape_ok(node.free_mask, rec.candidates, l):
+                    report.candidate_shapes_ok = False
+        path.append(rec)
+
+    _, stats = solve(gen_lower_bound(l), on_node=hook, prune=False)
+    report.nodes, report.leaves = stats.nodes, stats.leaves
+    report.child_removals_ok = all(sorted(rec.removals) == [3, 4, 5]
+                                   for rec in report.candidate_log)
     return report
 
 

@@ -52,7 +52,7 @@ from typing import Callable, Optional, Union
 
 from . import csp
 from .analysis import measure
-from .graph import MarkedGraph, bits, non_cliques, select
+from .graph import MarkedGraph, bits, non_cliques, overfull_marked, select
 from .oracle import _is_ids
 from .solution import INFEASIBLE, SearchStats, Solution
 
@@ -355,8 +355,7 @@ def _greedy_ids(g: MarkedGraph) -> Optional[int]:
 def _check_marked_degrees(g: MarkedGraph, prefix: str = "") -> None:
     """The input contract, also kept by every child: each marked vertex has
     at most 4 free neighbors."""
-    deg = g.degrees()
-    bad = next((u for u in bits(g.marked_mask) if deg[u] > 4), None)
+    bad = overfull_marked(g.base.adj, g.free_mask, g.marked_mask)
     if bad is not None:
         raise SolverError(f"{prefix}marked vertex {g.base.ids[bad]} has F-degree > 4")
 

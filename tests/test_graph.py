@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import (complete, cycle, f_degrees, from_edges, path,
                       seeded_marked_graphs)
-from midsolve.graph import GraphError, MarkedGraph, bits, plain_graph, select
+from midsolve.graph import (GraphError, MarkedGraph, bits, non_cliques, overfull_marked,
+                            plain_graph, select)
 from midsolve.instances import gen_lower_bound, gen_random
 
 
@@ -175,6 +176,20 @@ class TestClassifyComponent:
 
 
 
+class TestOverfullMarked:
+    def test_lowest_marked_vertex_above_4_free_neighbours(self):
+        # marked 10 and 20 each see the free 1..5, marked 30 sees 1..4
+        g = from_edges([(m, i) for m in (10, 20) for i in range(1, 6)]
+                       + [(30, i) for i in range(1, 5)], marked=[10, 20, 30])
+        adj, index, ids = g.base.adj, g.base.index, g.base.ids
+        assert ids[overfull_marked(adj, g.free_mask, g.marked_mask)] == 10
+        without_10 = g.marked_mask & ~(1 << index[10])
+        assert ids[overfull_marked(adj, g.free_mask, without_10)] == 20
+        without_5 = g.free_mask & ~(1 << index[5])
+        assert overfull_marked(adj, without_5, g.marked_mask) is None
+        assert overfull_marked(adj, g.free_mask, 0) is None
+
+
 class TestIsClique:
     def test_pairwise_adjacent(self):
         g = from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], marked=[3])
@@ -243,16 +258,19 @@ def classify_outcome(classify, g, verts):
         return ("GraphError", str(e))
 
 
+TWO_COLOURING_GRAPHS = pytest.mark.parametrize("graphs", [
+    lambda: all_labeled_graphs(5),
+    seeded_marked_graphs,
+    lambda: (gen_random(n, 0.05 + n % 4 * 0.05, n) for n in range(20, 41)),
+], ids=["labeled_up_to_5", "seeded_marked", "random_20_to_40"])
+
+
 class TestClassifyMatchesTwoColouring:
     """classify_component gives the reference's result, or raises its
     GraphError, on every free component, each component without its
     smallest vertex, the union of all components and the marked set."""
 
-    @pytest.mark.parametrize("graphs", [
-        lambda: all_labeled_graphs(5),
-        seeded_marked_graphs,
-        lambda: (gen_random(n, 0.05 + n % 4 * 0.05, n) for n in range(20, 41)),
-    ], ids=["labeled_up_to_5", "seeded_marked", "random_20_to_40"])
+    @TWO_COLOURING_GRAPHS
     def test_same_result(self, graphs):
         for g in graphs():
             comps = g.free_components()
@@ -261,6 +279,23 @@ class TestClassifyMatchesTwoColouring:
             for verts in sets:
                 assert (classify_outcome(MarkedGraph.classify_component, g, verts)
                         == classify_outcome(two_colouring_classify, g, verts)), (g, verts)
+
+
+class TestMaskRulesMatchTwoColouring:
+    """``non_cliques`` and then ``bipartite_sides`` classify every free
+    component as the reference does, on the graphs of the test above."""
+
+    @TWO_COLOURING_GRAPHS
+    def test_same_result(self, graphs):
+        for g in graphs():
+            comps = g.component_masks()
+            others = non_cliques(comps, g.degrees())
+            for c in comps:
+                sides = g.bipartite_sides(c) if c in others else None
+                got = (("clique", c.bit_count()) if c not in others
+                       else ("other",) if sides is None
+                       else ("complete_bipartite", *map(g.base.decode, sides)))
+                assert got == two_colouring_classify(g, g.base.decode(c)), (g, c)
 
 
 class NaiveGraph:

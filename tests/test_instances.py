@@ -137,6 +137,44 @@ class TestMarkRandom:
         with pytest.raises(ValueError):
             mark_random(gen_random(5, 0.2, 0), -0.1, 0)
 
+    def test_same_graphs_as_on_identifier_sets(self):
+        inputs = []
+        for seed in range(40):
+            g = gen_random(8 + seed % 23, 0.1 + seed % 6 * 0.1, seed)
+            verts = sorted(g.vertices)
+            # a marked input on a wider relabelling: every fifth vertex
+            # deleted, every third marked
+            kept = [v for v in verts if v % 5]
+            inputs += [g, g.induced([v for v in kept if v % 3], [v for v in kept if not v % 3]),
+                       mark_random(g, 0.3, seed)]
+        fallbacks = 0
+        for k, g in enumerate(inputs):
+            for fraction in (0.0, 0.2, 0.5, 0.9):
+                want, fell_back = mark_on_identifier_sets(g, fraction, k)
+                got = mark_random(g, fraction, k)
+                assert (got.free, got.marked, list(got.edges())) == \
+                    (want.free, want.marked, list(want.edges())), (g, fraction)
+                fallbacks += fell_back
+        assert fallbacks >= 20
+
+
+def mark_on_identifier_sets(g, fraction, seed):
+    """``mark_random`` on identifier sets and ``g.neighbors``, as a reference,
+    and whether it fell back to unmarking."""
+    verts = sorted(g.vertices)
+    count = round(fraction * len(verts))
+    nbrs = {v: g.neighbors(v) for v in verts}
+    rng = _SplitMix64(seed)
+    for _ in range(MARK_ATTEMPTS):
+        pool = list(verts)
+        rng.shuffle(pool)
+        marked = set(pool[:count])
+        if all(len(nbrs[v] - marked) <= 4 for v in marked):
+            return MarkedGraph(set(verts) - marked, marked, g.edges()), False
+    while bad := sorted(v for v in marked if len(nbrs[v] - marked) > 4):
+        marked.discard(bad[0])
+    return MarkedGraph(set(verts) - marked, marked, g.edges()), True
+
 
 class TestReadGraph:
     def test_round_trip_with_marks(self):

@@ -1,7 +1,67 @@
 import pytest
 
+from midsolve import lb_trace
 from midsolve.analysis import LB_GROWTH_RATE
+from midsolve.graph import plain_graph
+from midsolve.instances import gen_lower_bound
 from midsolve.lb_trace import leaf_growth, trace
+
+
+def record_every_node(l):
+    """A reference tracer that keeps a record of every node, with its
+    parent's id and its decoded free set, rebuilds parent -> children from
+    the ids afterwards and then checks the same claims as ``trace``.  It
+    reads the family, the candidates and the solver through ``lb_trace``,
+    so a test that patches them there changes both tracers."""
+    records = []  # per node: (parent id, depth, free vertices, case, candidates)
+    open_ids = []  # node id per depth along the current DFS path
+
+    def hook(depth, node, case):
+        del open_ids[depth:]
+        records.append((open_ids[-1] if open_ids else None, depth, node.free, case,
+                        tuple(lb_trace.case9_candidates(node)) if case == 9 else None))
+        open_ids.append(len(records) - 1)
+
+    _, stats = lb_trace.solve(lb_trace.gen_lower_bound(l), on_node=hook, prune=False)
+    children = {}
+    for parent, _, free, _, _ in records:
+        if parent is not None:
+            children.setdefault(parent, []).append(len(free))
+    case9_only = shapes_ok = removals_ok = True
+    log = []
+    for node_id, (_, depth, free, case, cands) in enumerate(records):
+        if len(free) > 4:
+            if case != 9:
+                case9_only = False
+                continue
+            log.append((depth, len(free), cands))
+            lo, hi = min(free), max(free)
+            if hi != 2 * l or free != frozenset(range(lo, hi + 1)) or cands != (lo, 2 * l):
+                shapes_ok = False
+            if sorted(len(free) - c for c in children.get(node_id, [])) != [3, 4, 5]:
+                removals_ok = False
+    return stats.nodes, stats.leaves, case9_only, shapes_ok, removals_ok, log
+
+
+def summary(report):
+    return (report.nodes, report.leaves, report.case9_only_above_4,
+            report.candidate_shapes_ok, report.child_removals_ok,
+            [(r.depth, r.free_count, r.candidates) for r in report.candidate_log])
+
+
+def cycle_family(l):
+    vs = range(1, 2 * l + 1)
+    return plain_graph(vs, [(v, v % (2 * l) + 1) for v in vs])
+
+
+def path_family(l):
+    return plain_graph(range(1, 2 * l + 1), [(v, v + 1) for v in range(1, 2 * l)])
+
+
+def family_with_chord(l):
+    """The family plus the edge u_2 v_4 = {3, 8}: at l = 5 one child of the
+    root removes 6 vertices, and every suffix keeps its shape."""
+    return plain_graph(range(1, 2 * l + 1), [*gen_lower_bound(l).edges(), (3, 8)])
 
 
 class TestTrace:
@@ -35,6 +95,39 @@ class TestTrace:
             lo, hi = rec.candidates
             assert hi == 14
             assert rec.free_count == hi - lo + 1
+
+
+class TestPathTrace:
+    """``trace`` keeps only the current path and records only the nodes it
+    checks; the reference keeps every node."""
+
+    @pytest.mark.parametrize("l", range(3, 15))
+    def test_same_report_as_recording_every_node(self, l):
+        report = trace(l)
+        assert summary(report) == record_every_node(l)
+        assert all(len(r.removals) == 3 for r in report.candidate_log)
+
+    def test_root_removals(self):
+        assert sorted(trace(6).candidate_log[0].removals) == [3, 4, 5]
+
+    @pytest.mark.parametrize("family, l, flags", [
+        (cycle_family, 3, (True, False, False)),
+        (cycle_family, 5, (False, False, False)),
+        (path_family, 5, (False, True, True)),
+        (family_with_chord, 5, (True, True, False)),
+    ], ids=["cycle-3", "cycle-5", "path-5", "chord-5"])
+    def test_each_flag_can_fail(self, monkeypatch, family, l, flags):
+        monkeypatch.setattr(lb_trace, "gen_lower_bound", family)
+        report = trace(l)
+        assert summary(report)[2:5] == flags
+        assert summary(report) == record_every_node(l)
+
+    def test_wrong_candidates_fail_the_shape_check(self, monkeypatch):
+        monkeypatch.setattr(lb_trace, "case9_candidates",
+                            lambda g: sorted(g.free)[1:2] + [max(g.free)])
+        report = trace(6)
+        assert summary(report)[2:5] == (True, False, True)
+        assert summary(report) == record_every_node(6)
 
 
 class TestLeafGrowth:

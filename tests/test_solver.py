@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (complete, connected_labeled_graphs, cycle, f_degrees,
                       from_edges, path, plain_graph, seeded_marked_graphs, star)
+from midsolve import solver
 from midsolve.graph import MarkedGraph, bits
 from midsolve.instances import gen_lower_bound, gen_random, mark_random
 from midsolve.oracle import check_ids, exhaustive_mids
@@ -620,3 +621,42 @@ class TestExplicitStack:
         assert [(sol, vars(stats)) for sol, stats in results] == \
             [(sol, vars(stats)) for sol, stats in sequential]
         assert sys.getrecursionlimit() == limit
+
+
+def extra_first_child(monkeypatch, root, child):
+    """Give ``root`` the first child ``child(root)``, which commits no vertex,
+    before its real ones."""
+    real = solver._children
+
+    def children(node, branches):
+        if node is root:
+            yield 0, child(node)
+        yield from real(node, branches)
+
+    monkeypatch.setattr(solver, "_children", children)
+
+
+class TestAssertMode:
+    """Each of assert mode's three checks fails a solve whose search
+    breaks it, with its own message."""
+
+    def test_child_that_keeps_the_free_set(self, monkeypatch):
+        g = cycle(6)
+        extra_first_child(monkeypatch, g, lambda g: g)
+        with pytest.raises(SolverError, match="child does not shrink"):
+            solve(g, assert_mode=True)
+
+    def test_child_whose_measure_does_not_drop(self, monkeypatch):
+        g = cycle(6)
+        monkeypatch.setattr(solver, "measure", lambda g: 0.0)
+        assert solve(g)[0].size == 2
+        with pytest.raises(SolverError, match="measure did not decrease"):
+            solve(g, assert_mode=True)
+
+    def test_child_that_marks_a_vertex_of_f_degree_5(self, monkeypatch):
+        # a 5-leaf star beside a 6-cycle; the extra child marks the centre
+        g = plain_graph(range(12), [(0, i) for i in range(1, 6)]
+                        + [(i, 6 + (i - 5) % 6) for i in range(6, 12)])
+        extra_first_child(monkeypatch, g, lambda g: g.child(g.free_mask & ~1, 1))
+        with pytest.raises(SolverError, match="^marked vertex 0 has F-degree > 4$"):
+            solve(g, assert_mode=True)
