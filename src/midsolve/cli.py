@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, analyze, lbtrace, bench.  Exit codes: 0 found,
-1 a failed check (``solve --check`` rejects the witness, or the two
+1 a failed check (``solve --check`` rejects the witness, the two
 reference routes of ``oracle``, both run on plain and marked instances
-alike, disagree on the size), 2 usage or parse error, an instance with
+alike, disagree on the size, or a structural claim of ``lbtrace`` fails at
+some l), 2 usage or parse error, an instance with
 more free vertices than ``oracle``'s exhaustive route takes, or an
 instance outside the solver's input contract (a marked vertex with more
 than 4 free neighbors), 3 infeasible.  With ``--format records`` output is
@@ -127,9 +128,12 @@ def cmd_lbtrace(args) -> int:
         print("error: need 3 <= L_MIN < L_MAX", file=sys.stderr)
         return EXIT_USAGE
     leaves = []
+    claims_hold = True
     for l in range(args.l_min, args.l_max + 1):
         rep = trace(l)
         leaves.append(rep.leaves)
+        claims_hold &= (rep.case9_only_above_4 and rep.candidate_shapes_ok
+                        and rep.child_removals_ok)
         print(_record(cmd="lbtrace", l=l, nodes=rep.nodes, leaves=rep.leaves,
                       case9_only=rep.case9_only_above_4,
                       shapes_ok=rep.candidate_shapes_ok,
@@ -138,7 +142,7 @@ def cmd_lbtrace(args) -> int:
     for l, n, ratio in growth_rows(args.l_min, leaves):
         ratio = "-" if ratio is None else f"{ratio:.4f}"
         print(f"  l={l:<3} leaves={n:<8} ratio={ratio}")
-    return EXIT_OK
+    return EXIT_OK if claims_hold else EXIT_CHECK_FAILED
 
 
 def _bench_one(params):

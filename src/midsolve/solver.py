@@ -21,7 +21,11 @@ one: as many as it takes for their closed neighborhoods, largest first, to
 cover that set (the degree-sequence bound), and at least one for each
 vertex of a set whose dominators are pairwise disjoint (the packing bound).
 ``_lower_bound`` sums the larger of the two over the components, so it is
-never below the number of free components.  Each node gets an exclusive
+never below the number of free components.  When the sum is one short of
+the node's ``ub``, a solution below ``ub`` has exactly its term's number of
+vertices in each component, and they are independent; a search bounded in
+component size and expansions that finds no such set in some component
+raises the bound to ``ub``.  Each node gets an exclusive
 upper bound ``ub`` and returns the mask of its best witness of size
 ``< ub``, or ``None`` when there is none; only the root's witness is
 decoded to identifiers.  The root has ``ub = k + 1``, where
@@ -61,6 +65,11 @@ CaseId = Union[int, str]
 CSP_ENDGAME: CaseId = "csp_endgame"
 EMPTY: CaseId = "empty"
 PRUNED: CaseId = "pruned"
+
+# effort of the cover test in ``_lower_bound``: components of at most this
+# many free vertices, and at most this many expansions per component
+_COVER_MAX_FREE = 30
+_COVER_BUDGET = 200
 
 
 class SolverError(ValueError):
@@ -143,9 +152,10 @@ def case11_select(g: MarkedGraph, u: int) -> int:
     raise SolverError(f"no sparse-neighborhood vertex around {g.base.ids[u]}")
 
 
-def _lower_bound(g: MarkedGraph, comps: list) -> int:
+def _lower_bound(g: MarkedGraph, comps: list, ub: float) -> int:
     """Lower bound on the size of every independent dominating set of g:
-    the sum over the free components C of the larger of two terms.
+    the sum over the free components C of the larger of two terms, raised
+    to ``ub`` when a cover test shows that no solution is below ``ub``.
 
     M_C is the set of marked vertices whose free neighbors all lie in C,
     and S the union of C and M_C.  Let D be a solution.  Only free vertices
@@ -170,6 +180,15 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
     vertex of C, since no val(v) exceeds Delta_C + 1.  The components and
     their sets S are disjoint, so the terms add: the bound is never below
     the number of free components.
+
+    Cover test: when the sum is ``ub - 1``, a solution D smaller than ``ub``
+    has exactly t vertices in each component C, t the larger term of C, and
+    D & C is an independent set dominating S.  So when some C has no
+    independent set of at most t vertices dominating S (``_has_cover``),
+    no solution is smaller than ``ub``, and ``ub`` is returned.  The search
+    runs only on components of at most ``_COVER_MAX_FREE`` free vertices,
+    with ``_COVER_BUDGET`` expansions each; a search that runs out proves
+    nothing and the bound stays the sum.
     """
     adj, closed, free = g.base.adj, g.base.closed, g.free_mask
     owned = [0] * len(comps)  # M_C of each component
@@ -182,13 +201,10 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
                 if not nbrs & ~c:
                     owned[i] |= 1 << u
                 break
-    total = 0
+    terms = []  # (C, S, the larger term) per component
     for c, m in zip(comps, owned):
         s = c | m
-        need = s.bit_count()
-        vals = sorted([(a & s).bit_count() for a in select(closed, c)],
-                      reverse=True)
-        k = next(i for i, r in enumerate(accumulate(vals), 1) if r >= need)
+        k = _degree_term(closed, c, s)
         packed = used = 0
         # N[v] & C is N_F[v] for a free v of S and N_F(v) for a marked one
         for dom in sorted([a & c for a in select(closed, s)],
@@ -196,8 +212,49 @@ def _lower_bound(g: MarkedGraph, comps: list) -> int:
             if not dom & used:
                 used |= dom
                 packed += 1
-        total += max(k, packed)
+        terms.append((c, s, max(k, packed)))
+    total = sum(t for _, _, t in terms)
+    # a term of 1 is one vertex dominating S: a cover, no search needed
+    if total == ub - 1 and any(t > 1 and c.bit_count() <= _COVER_MAX_FREE
+                               and not _has_cover(closed, c, s, t)
+                               for c, s, t in terms):
+        return ub
     return total
+
+
+def _degree_term(closed, dom: int, s: int) -> float:
+    """The least k whose k largest values |N[v] & s|, over v in dom, sum
+    to at least |s|; inf when all of them fall short."""
+    need = s.bit_count()
+    vals = sorted([(a & s).bit_count() for a in select(closed, dom)],
+                  reverse=True)
+    return next((i for i, r in enumerate(accumulate(vals), 1) if r >= need),
+                math.inf)
+
+
+def _has_cover(closed, c: int, s: int, t: int) -> bool:
+    """False when no independent set of at most t vertices of C dominates S;
+    True when one does or the search ran out of budget.
+
+    A loop over a stack of ``(uncovered, allowed, used)`` masks: it
+    branches on the uncovered vertex with the fewest allowed dominators,
+    taking d removes N[d] from both masks, and a state is cut when its
+    ``used`` vertices plus the degree-sequence term on ``uncovered`` exceed
+    t.  After ``_COVER_BUDGET`` expansions it stops and answers True.
+    """
+    stack = [(s, c, 0)]
+    for _ in range(_COVER_BUDGET):
+        if not stack:
+            return False
+        uncovered, allowed, used = stack.pop()
+        if not uncovered:
+            return True
+        if used + _degree_term(closed, allowed, uncovered) > t:
+            continue
+        v = min(bits(uncovered), key=lambda u: (closed[u] & allowed).bit_count())
+        for d in reversed(bits(closed[v] & allowed)):
+            stack.append((uncovered & ~closed[d], allowed & ~closed[d], used + 1))
+    return bool(stack)
 
 
 def _branch_all(g: MarkedGraph, x: int) -> list:
@@ -247,7 +304,7 @@ def _dispatch(g: MarkedGraph, ub: float):
         return 1, ()
 
     comps = g.component_masks()
-    if ub < math.inf and _lower_bound(g, comps) >= ub:
+    if ub < math.inf and _lower_bound(g, comps, ub) >= ub:
         return PRUNED, ()
     deg = g.degrees()  # past the bound: a cut node needs no F-degrees
     others = non_cliques(comps, deg)
@@ -378,10 +435,14 @@ def solve(g: MarkedGraph, *, assert_mode: bool = False,
     (``_lower_bound``) takes, per free component, the larger of a
     degree-sequence bound and a packing bound on the solution vertices
     needed to dominate the component and the marked vertices only it can
-    dominate.  The root is never cut.  ``prune=False`` is paper mode: it
-    runs the whole branch-and-reduce tree the paper analyses, with the same
-    nodes, leaves, case counts and witness as before pruning existed.  Both
-    modes return the same solution.
+    dominate; when that sum is one short of the node's upper bound, a
+    search bounded in size and expansions asks each component whether an
+    independent set of its term's size dominates that set, and a
+    component where none does cuts the node.  The root is never cut.
+    ``prune=False`` is paper mode: it runs the whole branch-and-reduce tree
+    the paper analyses, with the same nodes, leaves, case counts and
+    witness as before pruning existed.  Both modes return the same
+    solution.
 
     The search is one loop over an explicit stack, not a recursion: it
     changes no process-global state, so several threads may solve at once.

@@ -1,6 +1,7 @@
 import pytest
 
-from midsolve import cli
+from conftest import cycle
+from midsolve import cli, lb_trace
 from midsolve.cli import (EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_OK,
                           EXIT_USAGE, SCHEMA, main)
 from midsolve.instances import gen_lower_bound, write_graph
@@ -187,6 +188,14 @@ class TestLbTrace:
         lines = [ln for ln in out.splitlines() if ln.startswith(SCHEMA)]
         assert len(lines) == 4
         assert all("case9_only=True" in ln for ln in lines)
+        assert "leaf growth:" in out
+
+    def test_failed_claim_exits_1(self, monkeypatch, capsys):
+        # on a cycle the suffix shapes and the removals fail at l = 3 and 4
+        monkeypatch.setattr(lb_trace, "gen_lower_bound", lambda l: cycle(2 * l, 1))
+        assert main(["lbtrace", "3", "4"]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert out.count("shapes_ok=False removals_ok=False") == 2
         assert "leaf growth:" in out
 
     def test_bad_range(self, capsys):

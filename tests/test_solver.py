@@ -118,7 +118,7 @@ class TestSolveBasics:
     # the same inputs with pruning on: the same witnesses from smaller trees
     PINNED_PRUNED_TREES = [
         (lambda: gen_random(20, 0.3, 7),
-         (30, 18, 4, {CSP_ENDGAME: 2, PRUNED: 15, 1: 1, 6: 1, 8: 6, 9: 5},
+         (11, 6, 4, {CSP_ENDGAME: 2, PRUNED: 4, 6: 1, 8: 4},
           {6, 8, 12, 20})),
         (lambda: mark_random(gen_random(30, 0.15, 3), 0.2, 3),
          (21, 9, 7, {CSP_ENDGAME: 1, EMPTY: 1, PRUNED: 6, 1: 1, 5: 6, 6: 1,
@@ -420,8 +420,8 @@ class TestPruning:
         assert endgames > 100
 
 
-def lower_bound(g):
-    return _lower_bound(g, g.component_masks())
+def lower_bound(g, ub=math.inf):
+    return _lower_bound(g, g.component_masks(), ub)
 
 
 def degree_ceiling(g):
@@ -432,28 +432,48 @@ def degree_ceiling(g):
     return -(-len(g) // (delta + 1))
 
 
+def graphs_up_to_16_vertices():
+    """Seeded marked graphs on 9..16 vertices that reach the bound, each
+    with its optimum size: the feasible ones without a marked vertex that
+    no free vertex dominates (case 1 is dispatched before the bound)."""
+    for seed in range(2000):
+        n = 9 + seed % 8
+        g = mark_random(gen_random(n, 0.15 + (seed % 5) * 0.07, seed),
+                        0.25 + (seed % 3) * 0.1, seed + 20_000)
+        if any(not g.neighbors(u) for u in g.marked):
+            continue
+        ref = exhaustive_mids(g)
+        if ref.feasible:
+            yield g, ref.size
+
+
 class TestLowerBound:
+    # with ub = optimum + 1 the cover test runs wherever the cheap terms
+    # reach the optimum, and a bound of ub would wrongly cut the node
+
     def test_at_most_the_optimum(self):
         for g in [*connected_labeled_graphs(5), *seeded_marked_graphs()]:
             if any(not g.neighbors(u) for u in g.marked):
                 continue  # case 1 is dispatched before the bound
             ref = exhaustive_mids(g)
             if ref.feasible:
-                assert lower_bound(g) <= ref.size, g
+                assert lower_bound(g, ref.size + 1) <= ref.size, g
 
     def test_at_most_the_optimum_up_to_16_vertices(self):
         checked = 0
-        for seed in range(2000):
-            n = 9 + seed % 8
-            g = mark_random(gen_random(n, 0.15 + (seed % 5) * 0.07, seed),
-                            0.25 + (seed % 3) * 0.1, seed + 20_000)
-            if any(not g.neighbors(u) for u in g.marked):
-                continue  # case 1 is dispatched before the bound
-            ref = exhaustive_mids(g)
-            if ref.feasible:
-                checked += 1
-                assert lower_bound(g) <= ref.size, g
+        for g, opt in graphs_up_to_16_vertices():
+            checked += 1
+            assert lower_bound(g, opt + 1) <= opt, g
         assert checked > 1000
+
+    def test_budget_exhausted_proves_nothing(self, monkeypatch):
+        # one expansion: a search that has not finished must prove nothing
+        monkeypatch.setattr(solver, "_COVER_BUDGET", 1)
+        at_optimum = 0  # where the cover test runs
+        for g, opt in graphs_up_to_16_vertices():
+            assert lower_bound(g, opt + 1) <= opt, g
+            at_optimum += lower_bound(g) == opt
+        assert at_optimum > 500
 
     def test_exceeds_the_component_count(self):
         # P7: one component of 7 vertices of degree <= 2, so ceil(7 / 3)
@@ -484,6 +504,18 @@ class TestLowerBound:
         assert len(g.component_masks()) == 1
         assert degree_ceiling(g) == 2
         assert lower_bound(g) == exhaustive_mids(g).size == 3
+
+    def test_independent_cover_term(self, monkeypatch):
+        # the double star S(2,2): centers 0 and 1, leaves 2, 3 on 0 and 4, 5
+        # on 1.  Both terms give 2 and {0, 1} dominates, but it is not
+        # independent, and no other pair dominates, so the cover test of a
+        # node with ub = 3 proves 3
+        g = plain_graph(range(6), [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        assert lower_bound(g) == lower_bound(g, 4) == 2
+        assert lower_bound(g, 3) == exhaustive_mids(g).size == 3
+        # a component above the size limit is not searched
+        monkeypatch.setattr(solver, "_COVER_MAX_FREE", 5)
+        assert lower_bound(g, 3) == 2
 
     def test_counts_marked_vertices_of_one_component(self):
         # free path 0-1-2 with marked 3 on 0 and marked 4 on 2, whose
