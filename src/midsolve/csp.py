@@ -8,16 +8,17 @@ constraint.  It runs on the graph's masks: a domain is a clique's vertex
 mask, a value is a vertex bit, a constraint is a marked vertex's free
 neighbourhood, and a solution is the witness mask itself.
 
-Domains of size 3 and 4 are cut into pairs of their lowest bits.  The
-choices of a part per variable are walked depth first on the mask of values
-still alive, and a prefix that leaves a constraint none is cut.  Each leaf
-is solved on the unrestricted constraints by backtracking with unit
-propagation, up to the first satisfiable one.  ``CspInstance`` and
-``split_to_binary`` state the same split on ``(variable, value)`` literals.
+Domains of size 3 and 4 are cut into pairs of their lowest bits.
+``solve_binary`` is the whole endgame: one backtracking search that keeps
+a part of each such domain and then chooses a value per variable, with
+unit propagation at every state, up to the first solution.
+``CspInstance`` and ``split_to_binary`` state the same split on
+``(variable, value)`` literals.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,44 +83,26 @@ def encode(g: MarkedGraph) -> tuple[list[int], list[int]]:
 # Domain splitting
 
 
-def _split(domains: list, constraints: list):
-    """Leaf domains of the domain split, depth first in ``itertools.product``
-    order over ascending variables.  A domain d of more than two bits is cut
-    into successive pairs of its lowest bits.  A prefix is the mask of values
-    still alive; choosing part p of d clears ``d ^ p``.  A prefix that leaves
-    a constraint no alive value is dropped.  The empty prefix is checked on
-    every constraint, and a choice of p only on those that meet d but not p:
-    the others kept a value at the parent prefix and lose none."""
-    levels = []  # per split variable, per part: values kept, constraints at risk
-    for d in domains:
-        if d.bit_count() > 2:
-            b = bits(d)
-            pairs = [sum(1 << i for i in b[k:k + 2]) for k in range(0, len(b), 2)]
-            levels.append([(~(d ^ p), [c for c in constraints if c & d and not c & p])
-                           for p in pairs])
-    stack = [(-1, 0)] if all(constraints) else []  # (alive, depth)
-    while stack:
-        alive, depth = stack.pop()
-        if depth == len(levels):
-            yield [d & alive for d in domains]
-            continue
-        for keep, risky in reversed(levels[depth]):  # the first part on top
-            sub = alive & keep
-            if all(c & sub for c in risky):
-                stack.append((sub, depth + 1))
+def _parts(d: int) -> list[int]:
+    """The parts of domain d in split order: ``[d]`` up to two bits, else
+    successive pairs of its lowest bits, so a size-4 domain gives two
+    binary halves and a size-3 one a binary half and a singleton."""
+    if d.bit_count() <= 2:
+        return [d]
+    b = bits(d)
+    return [sum(1 << i for i in b[k:k + 2]) for k in range(0, len(b), 2)]
 
 
 def split_to_binary(inst: CspInstance) -> list[CspInstance]:
-    """Every leaf of the split, none cut: instances with all domains of size
-    <= 2 whose solution sets unite to the input's.  A size-4 domain gives two
-    binary halves, a size-3 one a binary half and a singleton.
+    """Every member of the split, none cut: instances with all domains of
+    size <= 2 whose solution sets unite to the input's, in
+    ``itertools.product`` order over each variable's ``_parts``.
 
-    The literals get bits, a variable's domain values in order first, and
-    ``_split`` runs on the masks with no constraints, so it cuts nothing.
-    A leaf drops the constraints that a split variable's one-bit part hits
+    The literals get bits, a variable's domain values in order first.  A
+    member drops the constraints that a split variable's one-bit part hits
     and strips the split variables' values outside it from the rest.  A
-    split variable's out-of-domain literals are false in every leaf and get
-    no bit; the other variables' are kept."""
+    split variable's out-of-domain literals are false in every member and
+    get no bit; the other variables' are kept."""
     lits = [(i, x) for i, dom in enumerate(inst.domains) for x in dom]
     lits += sorted({(i, x) for c in inst.constraints for i, x in c
                     if len(inst.domains[i]) <= 2} - set(lits))
@@ -127,11 +110,11 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
     domains = [sum(bit[i, x] for x in dom) for i, dom in enumerate(inst.domains)]
     constraints = [sum(bit.get(lit, 0) for lit in c) for c in inst.constraints]
     decoded, leaves = {}, []  # per mask, its values and its literals
-    for doms in _split(domains, []):
+    for doms in itertools.product(*map(_parts, domains)):
         fixed = sum(p for d, p in zip(domains, doms) if d != p and not p & (p - 1))
-        dead = sum(domains) ^ sum(doms)  # the split variables' values outside the leaf
+        dead = sum(domains) ^ sum(doms)  # the split variables' values the member drops
         cons = [c & ~dead for c in constraints if not c & fixed]
-        for m in (*doms, *cons):  # the leaves share few masks
+        for m in (*doms, *cons):  # the members share few masks
             if m not in decoded:
                 decoded[m] = (tuple(x for _, x in select(lits, m)),
                               frozenset(select(lits, m)))
@@ -141,34 +124,34 @@ def split_to_binary(inst: CspInstance) -> list[CspInstance]:
 
 
 # ---------------------------------------------------------------------------
-# Binary-domain backtracking
+# The endgame search
 
 
 def solve_binary(domains: list, constraints: list) -> Optional[int]:
     """One value bit of every domain, as a mask that meets every constraint,
-    or None when there is none; the domains are disjoint masks of at most 2
-    bits.
+    or None when there is none; the domains are disjoint masks.
 
-    Chronological backtracking over variables in ascending order, values in
-    domain (ascending bit) order, with unit propagation on constraints left
-    one open value.  A state is the mask of values still alive, the mask of
-    values chosen (every one-bit domain's from the start) and the first
-    variable that may be open; the search is one loop over a stack of
-    states.  Backtracking with any sound propagation returns the first
-    solution in product order, so the witness is the one an enumeration of
-    ``itertools.product`` over the domains' bits would find first.
+    One backtracking search over a stack of states ``(alive, chosen,
+    step)``: the values still alive, the values chosen (every one-bit
+    domain's from the start, and every one-bit part's) and the next step.
+    The first steps keep one of ``_parts(d)`` per domain d of more than two
+    bits, in ascending order, the first part first, skipping a part that a
+    chosen value lies outside; the others choose one value per variable not
+    yet chosen, in ascending order, the low alive value first.  Each popped
+    state is propagated to a fixpoint: a constraint with no alive value
+    cuts it, and a constraint with one alive value chooses that value and
+    clears the rest of its domain.  Propagation is sound, so the witness is
+    the first solution in the order of the steps: the first product-order
+    solution of the first satisfiable member of ``split_to_binary``.
     """
-    if any(d.bit_count() > 2 for d in domains):
-        raise CspError("solve_binary requires domains of size <= 2")
-    alive, chosen = sum(domains), sum(d for d in domains if d.bit_count() == 1)
-    other = [0] * alive.bit_length()  # per value bit: its variable's other value
+    keep = [0] * sum(domains).bit_length()  # per value bit: clears its domain's rest
     for d in domains:
-        for v in (d & -d, d & (d - 1)):  # its low and its high bit, if any
-            if v:
-                other[v.bit_length() - 1] = d ^ v
-    stack = [(alive, chosen, 0)]
+        for i in bits(d):
+            keep[i] = ~(d ^ 1 << i)
+    wide = [(d, _parts(d)) for d in domains if d.bit_count() > 2]
+    stack = [(sum(domains), sum(d for d in domains if d.bit_count() == 1), 0)]
     while stack:
-        alive, chosen, var = stack.pop()
+        alive, chosen, step = stack.pop()
         changed = True
         while changed and chosen is not None:  # unit propagation to a fixpoint
             changed = False
@@ -179,19 +162,28 @@ def solve_binary(domains: list, constraints: list) -> Optional[int]:
                         chosen = None
                         break
                     if not unit & (unit - 1):
-                        alive ^= other[unit.bit_length() - 1]
+                        alive &= keep[unit.bit_length() - 1]
                         chosen |= unit
                         changed = True
         if chosen is None:
             continue
+        if step < len(wide):
+            d, parts = wide[step]
+            for p in reversed(parts):  # the first part on top
+                if not chosen & (d ^ p):
+                    stack.append((alive & ~(d ^ p),
+                                  chosen if p & (p - 1) else chosen | p, step + 1))
+            continue
+        var = step - len(wide)
         while var < len(domains) and domains[var] & chosen:
             var += 1
         if var == len(domains):
             return chosen
-        low = domains[var] & -domains[var]
-        high = domains[var] ^ low
-        stack.append((alive ^ low, chosen | high, var + 1))
-        stack.append((alive ^ high, chosen | low, var + 1))
+        pair = alive & domains[var]  # two values: only a choice clears any
+        low = pair & -pair
+        step = len(wide) + var + 1
+        stack.append((alive ^ low, chosen | pair ^ low, step))
+        stack.append((alive ^ pair ^ low, chosen | low, step))
     return None
 
 
@@ -200,15 +192,11 @@ def solve_clique_union(g: MarkedGraph) -> Solution:
 
     Every free clique contributes exactly one solution vertex, so any
     feasible solution has size equal to the number of cliques; the CSP
-    decides whether the marked vertices can all be dominated.  Each leaf of
-    the cut split is solved on the unrestricted constraints, in the steps
-    its restricted ones take: its alive and chosen values lie inside it, and
-    a constraint that a one-bit part hits is met from the start.  The first
-    satisfiable leaf is the first satisfiable member of ``split_to_binary``;
-    its witness mask is decoded once."""
+    decides whether the marked vertices can all be dominated.  The graph is
+    encoded, ``solve_binary`` searches the split, and its witness mask is
+    decoded once."""
     domains, constraints = encode(g)
-    for leaf in _split(domains, constraints):
-        witness = solve_binary(leaf, constraints)
-        if witness is not None:
-            return Solution.found(len(domains), g.base.decode(witness))
-    return INFEASIBLE
+    witness = solve_binary(domains, constraints)
+    if witness is None:
+        return INFEASIBLE
+    return Solution.found(len(domains), g.base.decode(witness))

@@ -70,18 +70,18 @@ def product_split(inst):
 
 
 @st.composite
-def binary_mask_instances(draw):
-    """``(domains, constraints)`` on masks: 1-6 domains of 1 or 2 bits at
-    drawn positions, so that a domain's bits need not be adjacent, and up
-    to 6 constraints of 0-3 bits, which may name the one bit no domain
-    holds."""
-    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=6))
+def mask_instances(draw, widest):
+    """``(domains, constraints)`` on masks: 1-6 domains of 1 to ``widest``
+    bits at drawn positions, so that a domain's bits need not be adjacent,
+    and up to 6 constraints of 0-4 bits, which may name the one bit no
+    domain holds."""
+    sizes = draw(st.lists(st.integers(1, widest), min_size=1, max_size=6))
     spare = sum(sizes)
     order = draw(st.permutations(range(spare + 1)))
     starts = [sum(sizes[:i]) for i in range(len(sizes))]
     domains = [sum(1 << b for b in order[k:k + size])
                for k, size in zip(starts, sizes)]
-    constraint = st.sets(st.integers(0, spare), max_size=3).map(
+    constraint = st.sets(st.integers(0, spare), max_size=4).map(
         lambda s: sum(1 << b for b in s))
     return domains, draw(st.lists(constraint, max_size=6))
 
@@ -133,8 +133,8 @@ def restricting_walk(domains, constraints):
     """The cut split's leaves as ``(domains, constraints)``, each prefix
     restricting the constraints its parent left: a one-bit part drops the
     constraints it hits, the others lose the variable's values outside the
-    part, and a prefix that empties one is cut.  The reference for the walk
-    on one alive mask."""
+    part, and a prefix that empties one is cut.  The reference for the part
+    steps of ``solve_binary``."""
     wide = [var for var, d in enumerate(domains) if d.bit_count() > 2]
     if not wide:
         yield domains, constraints
@@ -354,9 +354,14 @@ class TestSplitToBinary:
 
 
 class TestSolveBinary:
-    def test_rejects_wide_domain(self):
-        with pytest.raises(CspError):
-            solve_binary([0b111], [])
+    @given(mask_instances(widest=4))
+    @settings(max_examples=300, deadline=None)
+    def test_wide_domains_first_witness_of_the_split(self, instance):
+        # the part steps and the value steps are one search: its witness is
+        # the first product-order solution of the first satisfiable leaf
+        first = next((w for leaf in restricting_walk(*instance)
+                      for w in product_order_witnesses(*leaf)), None)
+        assert solve_binary(*instance) == first
 
     def test_no_constraints_takes_first_values(self):
         assert solve_binary([0b0011, 0b1100], []) == 0b0101
@@ -373,6 +378,14 @@ class TestSolveBinary:
         # one decision per variable: a recursive search would need 1,500 frames
         domains = [0b11 << 2 * i for i in range(1500)]
         assert solve_binary(domains, []) == sum(1 << 2 * i for i in range(1500))
+
+    def test_chosen_value_skips_the_other_parts(self):
+        # the root chooses bit 0, so variable 0 keeps only its part {0, 1};
+        # without bit 2 the other four constraints need both values of
+        # variable 1 or of variable 2
+        domains = [0b111, 0b11 << 3, 0b11 << 5]
+        constraints = [0b1, 0b0101100, 0b1010100, 0b1001100, 0b0110100]
+        assert solve_binary(domains, constraints) is None
 
     def test_conflicting_units_unsat(self):
         assert solve_binary([0b11], [0b01, 0b10]) is None
@@ -395,7 +408,7 @@ class TestSolveBinary:
         else:
             assert got is None
 
-    @given(binary_mask_instances())
+    @given(mask_instances(widest=2))
     @settings(max_examples=200, deadline=None)
     def test_first_solution_in_product_order(self, instance):
         # not just a solution: the witness the product enumeration finds first
@@ -493,51 +506,41 @@ class TestWalkMatchesEagerEndgame:
         assert solve_clique_union(g) == eager_endgame(g)
 
 
-class TestAliveMaskWalk:
-    """The endgame's walk on one alive mask, with each leaf solved on the
-    unrestricted constraints, against the walk that restricts them."""
+class CountedPasses(list):
+    """A constraint list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestSearchWork:
+    """The endgame search's work, as passes over ``encode``'s constraint
+    list: each propagation round is one."""
 
     @staticmethod
     def counted_solve(g, monkeypatch):
-        calls = []
-        monkeypatch.setattr(csp, "solve_binary",
-                            lambda *leaf: calls.append(leaf) or solve_binary(*leaf))
-        return csp.solve_clique_union(g), len(calls)
+        counted = CountedPasses()
 
-    @staticmethod
-    def restricted_solve(g):
-        calls = 0
-        for leaf in restricting_walk(*encode(g)):
-            calls += 1
-            witness = solve_binary(*leaf)
-            if witness is not None:
-                return witness, calls
-        return None, calls
+        def counted_encode(g):
+            domains, constraints = encode(g)
+            counted.extend(constraints)
+            return domains, counted
 
-    def test_benchmark_clique_unions_same_calls(self, monkeypatch):
-        total = 0
-        for seed in range(24):
-            g = bench_clique_union(12, 36, seed)
-            sol, calls = self.counted_solve(g, monkeypatch)
-            witness, expected = self.restricted_solve(g)
-            assert calls == expected, seed
-            assert sol.witness == (None if witness is None else g.base.decode(witness))
-            total += calls
-        assert total == 2756
+        monkeypatch.setattr(csp, "encode", counted_encode)
+        return csp.solve_clique_union(g), counted.passes
 
-    def test_criterion_2_clique_unions_same_calls(self, monkeypatch):
-        # an empty constraint ends the endgame before any leaf, where the
-        # restricting walk solved the root when nothing was split
-        for seed in range(300):
-            g = random_clique_union(seed)
-            expected = self.restricted_solve(g)[1] if all(encode(g)[1]) else 0
-            assert self.counted_solve(g, monkeypatch)[1] == expected, seed
+    def test_benchmark_clique_unions(self, monkeypatch):
+        assert sum(self.counted_solve(bench_clique_union(12, 36, seed), monkeypatch)[1]
+                   for seed in range(24)) == 2145
 
     @pytest.mark.parametrize("marked_with", [[], [(9, 4)]])
-    def test_empty_constraint_infeasible_before_any_leaf(self, monkeypatch, marked_with):
+    def test_empty_constraint_one_pass(self, monkeypatch, marked_with):
         # two 4-cliques and marked 10, which has no free neighbour; marked 9,
-        # if present, sees 4 in the second clique
+        # if present, sees 4 in the second clique: the root's first pass cuts
         edges = [e for q in ((0, 1, 2, 3), (4, 5, 6, 7))
                  for e in itertools.combinations(q, 2)] + marked_with
         g = MarkedGraph(range(8), {9, 10} if marked_with else {10}, edges)
-        assert self.counted_solve(g, monkeypatch) == (INFEASIBLE, 0)
+        assert self.counted_solve(g, monkeypatch) == (INFEASIBLE, 1)
